@@ -452,7 +452,10 @@ def parse_text(text):
         if not line:
             continue
         if line.startswith("indices:"):
-            indices = [int(t) for t in line[len("indices:"):].split()]
+            try:
+                indices = [int(t) for t in line[len("indices:"):].split()]
+            except ValueError as exc:
+                raise FormatError("unparseable line: %r" % raw) from exc
             continue
         kind, _, rest = line.partition(" ")
         if kind not in ("D", "M") or ":" not in rest:

@@ -56,6 +56,9 @@ def class_version(name, images):
     image reorients the curve.
     """
     from . import catalog
+    if len(images) != 3 or len({abs(t) for t in images}) != 3 or 0 in images:
+        raise FormatError("class %s needs three distinct nonzero images, "
+                          "got %r" % (name, tuple(images)))
     ref = catalog.arrangement(name)
     sub = dict(zip((1, 2, 3), images))
 
@@ -468,6 +471,14 @@ def is_k_chirotope(chi, k, diagnose=False):
 # file format
 
 
+def _ints(text, raw):
+    """The integers of a whitespace-separated field of line ``raw``."""
+    try:
+        return [int(t) for t in text.split()]
+    except ValueError as exc:
+        raise FormatError("unparseable line: %r" % raw) from exc
+
+
 def parse_chirotope(text):
     indices = None
     entries = {}
@@ -476,16 +487,16 @@ def parse_chirotope(text):
         if not line:
             continue
         if line.startswith("indices:"):
-            indices = [int(t) for t in line[len("indices:"):].split()]
+            indices = _ints(line[len("indices:"):], raw)
             continue
         if not line.startswith("chi "):
             raise FormatError("unparseable line: %r" % raw)
         head, _, body = line[4:].partition(":")
-        J = tuple(int(t) for t in head.split())
+        J = tuple(_ints(head, raw))
         body = body.strip()
         if "(" in body and body.endswith(")"):
             name, _, args = body[:-1].partition("(")
-            images = tuple(int(t) for t in args.split())
+            images = tuple(_ints(args, raw))
             arr = class_version(name.strip(), images)
         else:
             fam = {}

@@ -19,8 +19,8 @@ from .chirotope import (
     parse_chirotope,
     reconstruct,
 )
-from .errors import DplError
-from .flags import automorphism_order, orbit_count
+from .errors import DplError, FormatError
+from .flags import automorphism_order, signed_group_order
 from .mutation import connectivity_check, moebius_census, projective_census
 
 
@@ -57,13 +57,14 @@ def cmd_validate(args):
 
 def cmd_stats(args):
     arr = _load_arrangement(args.file)
+    aut = automorphism_order(arr)
     data = arr.to_json()
     data.update({
         "vertices": arr.vertex_count,
         "edges": arr.edge_count,
         "faces": sum(arr.f_vector.values()),
-        "aut_order": automorphism_order(arr),
-        "orbit_count": orbit_count(arr),
+        "aut_order": aut,
+        "orbit_count": signed_group_order(arr.n) // aut,
         "martagon_curves": [i for i in arr.indices if arr.is_martagon(i)],
     })
     _print(data, human=args.human)
@@ -80,9 +81,14 @@ def _read_mark(path):
         for line in fh:
             line = line.strip()
             if line.startswith("mark:"):
-                curve, arc, side = line[len("mark:"):].split()
-                return (int(curve), int(arc),
-                        1 if side == "crosscap" else -1)
+                fields = line[len("mark:"):].split()
+                if len(fields) != 3 or fields[2] not in ("disk", "crosscap"):
+                    raise FormatError("unparseable line: %r" % line)
+                try:
+                    curve, arc = int(fields[0]), int(fields[1])
+                except ValueError as exc:
+                    raise FormatError("unparseable line: %r" % line) from exc
+                return (curve, arc, 1 if fields[2] == "crosscap" else -1)
     return None
 
 
@@ -201,13 +207,13 @@ def cmd_enumerate(args):
             _print(data, human=args.human)
         else:
             row = moebius_census(args.n, simple_only=not args.all,
-                                 limit=limit, threads=args.threads)
+                                 limit=limit)
             if args.emit_classes:
                 os.makedirs(args.emit_classes, exist_ok=True)
-                from .mutation import moebius_simple_census, act_words, _words_key
+                from .mutation import moebius_states, act_words, _words_key
                 from .words import SignedPermutation
                 from .arrangement import from_disk_only
-                indices, visited = moebius_simple_census(args.n, limit=limit)
+                indices, visited = moebius_states(args.n, limit=limit)
                 group = SignedPermutation.all(indices)
                 reps = {}
                 for key, (words, desc) in visited.items():
@@ -299,7 +305,6 @@ def main(argv=None):
     p.add_argument("--table", action="store_true", help="CSV census row")
     p.add_argument("--emit-classes", metavar="DIR")
     p.add_argument("--limit-states", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--human", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 

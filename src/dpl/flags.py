@@ -9,10 +9,11 @@ candidates from every 2-subarrangement are ordered by the dominance
 relation and the minimum is taken.
 """
 
+import math
 from collections import Counter, defaultdict, deque
 
 from . import words as W
-from .errors import GenusNotOne
+from .errors import GenusNotOne, UnknownIndex
 
 # sigma1 sign action per slot of the crossing along the out-support:
 # (orientation, side) -> (orientation', side'), new slot is 1,3,2,4.
@@ -248,8 +249,13 @@ class FlagComplex:
 
     def face_at(self, curve, arc, side):
         """Index of the face incident to the given arc on the given side."""
-        nd = self.node_id[self.arr.node_cycles[curve][
-            (arc + 1) % len(self.arr.node_cycles[curve])]]
+        cycle = self.arr.node_cycles.get(curve)
+        if cycle is None:
+            raise UnknownIndex("no curve %r" % (curve,))
+        if not 0 <= arc < len(cycle):
+            raise UnknownIndex("curve %d has arcs 0..%d, not %r"
+                               % (curve, len(cycle) - 1, arc))
+        nd = self.node_id[cycle[(arc + 1) % len(cycle)]]
         f = self.fid[(nd, -1, curve, side)]
         for t, face in enumerate(self.faces):
             if f in face:
@@ -408,13 +414,14 @@ def automorphism_order(arr):
     return len(stabilizer(arr))
 
 
+def signed_group_order(n):
+    """Order n! 2^n of the signed permutation group on n indices."""
+    return math.factorial(n) << n
+
+
 def orbit_count(arr):
     """Number of distinct reindexed/reoriented versions."""
-    n = arr.n
-    total = 1
-    for k in range(2, n + 1):
-        total *= k
-    total <<= n
+    total = signed_group_order(arr.n)
     aut = automorphism_order(arr)
     assert total % aut == 0
     return total // aut

@@ -343,7 +343,9 @@ def moebius_simple_census(n, limit=None, progress=None):
     """BFS over marked simple states; returns (indices, key -> state).
 
     States are pairs (word family, flag descriptor of the marked cell);
-    the key is rotation-canonical.
+    the key is rotation-canonical.  Reference walk for the tests: it
+    rebuilds the full flag structures of every neighbor, where
+    :func:`moebius_states` walks only the neighbor's marked face.
     """
     seed = cyclic_thin(n)
     indices = seed.indices
@@ -426,7 +428,11 @@ class _UnionFind:
 
 
 def _marked_classes(indices, tagsets, group, odd_pure):
-    """Number of classes of marked states under the calibrated equivalence."""
+    """Number of classes of marked states under the calibrated equivalence.
+
+    Union-find over the whole group for every state; the tests compare it
+    with the canonical-form quotient of :func:`moebius_census_rows`.
+    """
     uf = _UnionFind(tagsets)
     for key, (words, tags) in tagsets.items():
         wk = _words_key(words)
@@ -445,32 +451,28 @@ def _marked_classes(indices, tagsets, group, odd_pure):
     return uf.count()
 
 
-def moebius_census(n, simple_only=True, limit=None, threads=1, progress=None):
+def moebius_census(n, simple_only=True, limit=None, progress=None):
     """Counting row of the crosscap census.
 
-    Returns ``{"n", "a", "b", "c", "d"}``; with ``simple_only`` false the
-    walk also crosses non-simple states (merge/split moves) and the "a"
-    count is the total number of marked classes.
+    Returns ``{"n", "a", "b", "c", "d"}``.  Simple states are counted by
+    :func:`moebius_census_rows`.  With ``simple_only`` false the walk also
+    crosses non-simple states (merge/split moves) and the "a" count is the
+    total number of marked classes.
     """
     if simple_only:
-        indices, visited = moebius_simple_census(n, limit=limit,
-                                                 progress=progress)
-        tagsets = {}
-        for key, (words, desc) in visited.items():
-            st = SimpleState(indices, words)
-            t = st.face_of[st.flag_from_descriptor(desc)]
-            tagsets[key] = (words, st.face_descriptors(t))
-    else:
-        indices, tagsets = moebius_full_census(n, limit=limit)
+        return moebius_census_rows(n, limit=limit, progress=progress)
+    indices, heavy = moebius_full_census(n, limit=limit)
     g = _census_groups(indices)
-    a = _marked_classes(indices, tagsets, g["evens"], g["odd_pure"])
-    b = _marked_classes(indices, tagsets, g["perm_evens"], g["odd_pure"])
-    c = _marked_classes(indices, tagsets, g["full"], [])
-    dset = set()
-    for key, (words, tags) in tagsets.items():
-        dset.add(min(_words_key(act_words(s, indices, words))
-                     for s in g["full"]))
-    return {"n": n, "a": a, "b": b, "c": c, "d": len(dset)}
+    states = set(heavy)
+    underlying = {arr.key(): arr for arr, _ in heavy.values()}
+    d = {min(arr.act(s).key() for s in g["full"])
+         for arr in underlying.values()}
+    return {"n": n,
+            "a": _heavy_classes(heavy, states, g["evens"], g["odd_pure"]),
+            "b": _heavy_classes(heavy, states, g["perm_evens"],
+                                g["odd_pure"]),
+            "c": _heavy_classes(heavy, states, g["full"], []),
+            "d": len(d)}
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +689,8 @@ def moebius_full_census(n, limit=None):
     reps = {}
     queue = deque()
 
-    def state_key(arr, tagset):
-        return (arr.key(), min(tagset))
-
     def push(arr, desc):
         cx = arr.complex
-        t = cx.faces.index(None) if False else None
         f = _heavy_lookup(cx, desc)
         face = next(tt for tt, fc in enumerate(cx.faces) if f in fc)
         tags = _heavy_descs(cx, face)
@@ -750,6 +748,25 @@ def moebius_full_census(n, limit=None):
     return indices, tagsets
 
 
+def _heavy_classes(heavy, subset, group, odd_pure):
+    """Classes of the heavy marked states in ``subset`` under ``group``
+    plus the members of ``odd_pure`` that fix the unmarked arrangement."""
+    uf = _UnionFind(subset)
+    for key in subset:
+        arr, tags = heavy[key]
+        wk = arr.key()
+        for sigma in group + odd_pure:
+            arr2 = arr.act(sigma)
+            if sigma in odd_pure and arr2.key() != wk:
+                continue
+            tags2 = frozenset(transport_heavy_descriptor(sigma, d)
+                              for d in tags)
+            nk = (arr2.key(), min(tags2))
+            if nk in subset:
+                uf.union(key, nk)
+    return uf.count()
+
+
 def moebius_chirotope_counts(n, limit=None):
     """Marked classes (all and simple) under the `a`-equivalence.
 
@@ -757,42 +774,29 @@ def moebius_chirotope_counts(n, limit=None):
     """
     indices, heavy = moebius_full_census(n, limit=limit)
     g = _census_groups(indices)
-
-    def classes(subset):
-        uf = _UnionFind(subset)
-        for key in subset:
-            arr, tags = heavy[key]
-            wk = arr.key()
-            for sigma in g["evens"] + g["odd_pure"]:
-                arr2 = arr.act(sigma)
-                if sigma in g["odd_pure"] and arr2.key() != wk:
-                    continue
-                tags2 = frozenset(transport_heavy_descriptor(sigma, d)
-                                  for d in tags)
-                nk = (arr2.key(), min(tags2))
-                if nk in subset:
-                    uf.union(key, nk)
-        return uf.count()
-
-    total = classes(set(heavy))
-    simple = classes({k for k, (arr, _) in heavy.items() if arr.is_simple()})
-    return {"n": n, "total": total, "simple": simple}
+    simple = {k for k, (arr, _) in heavy.items() if arr.is_simple()}
+    return {"n": n,
+            "total": _heavy_classes(heavy, set(heavy), g["evens"],
+                                    g["odd_pure"]),
+            "simple": _heavy_classes(heavy, simple, g["evens"],
+                                     g["odd_pure"])}
 
 
 # ---------------------------------------------------------------------------
 # large-census fast path
 #
-# The BFS above rebuilds full flag structures per edge; for the n = 4
-# stretch census the neighbor's marked-face tag is computed lazily by
-# walking a single face, and the quotients minimize over the group with
-# per-cycle pruning.
+# The reference BFS above rebuilds full flag structures per edge; here the
+# neighbor's marked-face tag is computed by walking a single face, and the
+# quotients minimize over the group with per-cycle pruning.  This is the
+# engine of the simple crosscap census at every size.
 
 from .arrangement import _D_ANCHOR, _slot_positions
 from .flags import _sig1_signs
 
 
-def _fast_tag(indices, words, desc):
-    """(canonical words, canonical marked tag) without a full state build."""
+def _marked_face(indices, words, desc):
+    """Descriptors of the face holding flag ``desc``, found by walking that
+    face alone (no full state build)."""
     pairs = {i: _slot_positions(words[k], i, _D_ANCHOR)
              for k, i in enumerate(indices)}
     pos = {}
@@ -816,8 +820,7 @@ def _fast_tag(indices, words, desc):
             if g not in seen:
                 seen.add(g)
                 stack.append(g)
-    tag = min((i, pairs[i][p], eps, side) for i, p, eps, side in seen)
-    return (_words_key(words), tag)
+    return frozenset((i, pairs[i][p], eps, side) for i, p, eps, side in seen)
 
 
 def moebius_states(n, limit=None, progress=None):
@@ -854,7 +857,7 @@ def moebius_states(n, limit=None, progress=None):
                 continue
             survivor = next(d for d in marked_descs if d[1] not in corners)
             nw = _swap_words(indices, words, swaps)
-            nk = _fast_tag(indices, nw, survivor)
+            nk = (_words_key(nw), min(_marked_face(indices, nw, survivor)))
             if nk not in visited:
                 visited[nk] = (nw, survivor)
                 queue.append(nk)
@@ -895,31 +898,28 @@ def _canonical_marked(indices, words, tags, group):
     return best
 
 
-def moebius_census_rows(n, limit=None, progress=None, threads=1):
-    """The census row via the fast path (used for the size-4 run).
+def moebius_census_rows(n, limit=None, progress=None):
+    """The census row via the fast path (the engine of :func:`moebius_census`).
 
     Phases: BFS; canonical form under even reorientations plus the
     word-fixing odd identifications (a); reindexings on one representative
-    per a-class (b); full group on the b-representatives (c, d).
+    per a-class (b); full group on the b-representatives (c, d).  Each
+    phase recomputes a state's marked-face descriptors by a face walk
+    rather than storing them per state.
     """
     indices, visited = moebius_states(n, limit=limit, progress=progress)
     g = _census_groups(indices)
-
-    def tagset(key):
-        words, desc = visited[key]
-        st = SimpleState(indices, words)
-        t = st.face_of[st.flag_from_descriptor(desc)]
-        return st.face_descriptors(t)
 
     if progress:
         print("phase a over %d states" % len(visited), flush=True)
     a_key = {}
     for t, (key, (words, desc)) in enumerate(visited.items()):
-        a_key[key] = _canonical_marked(indices, words, tagset(key),
+        a_key[key] = _canonical_marked(indices, words,
+                                       _marked_face(indices, words, desc),
                                        g["evens"])
         if progress and t and t % progress == 0:
             print("  a %d/%d" % (t, len(visited)), flush=True)
-    _link_odd_wordfixing(indices, visited, tagset, a_key, g["odd_pure"])
+    _link_odd_wordfixing(indices, visited, a_key, g["odd_pure"])
     a_reps = {}
     for key, ak in a_key.items():
         a_reps.setdefault(ak, key)
@@ -929,13 +929,13 @@ def moebius_census_rows(n, limit=None, progress=None, threads=1):
         print("phase b over %d representatives" % a_count, flush=True)
     b_key = {}
     rep_states = {key: visited[key] for key in a_reps.values()}
-    for t, key in enumerate(rep_states):
-        words, desc = visited[key]
-        b_key[key] = _canonical_marked(indices, words, tagset(key),
+    for t, (key, (words, desc)) in enumerate(rep_states.items()):
+        b_key[key] = _canonical_marked(indices, words,
+                                       _marked_face(indices, words, desc),
                                        g["perm_evens"])
         if progress and t and t % progress == 0:
             print("  b %d/%d" % (t, a_count), flush=True)
-    _link_odd_wordfixing(indices, rep_states, tagset, b_key, g["odd_pure"])
+    _link_odd_wordfixing(indices, rep_states, b_key, g["odd_pure"])
     b_reps = {}
     for key, bk in b_key.items():
         b_reps.setdefault(bk, key)
@@ -947,7 +947,9 @@ def moebius_census_rows(n, limit=None, progress=None, threads=1):
     d_keys = set()
     for bk, key in b_reps.items():
         words, desc = visited[key]
-        c_keys.add(_canonical_marked(indices, words, tagset(key), g["full"]))
+        c_keys.add(_canonical_marked(indices, words,
+                                     _marked_face(indices, words, desc),
+                                     g["full"]))
         best = None
         for sigma in g["full"]:
             wk = _words_key(act_words(sigma, indices, words))
@@ -958,7 +960,7 @@ def moebius_census_rows(n, limit=None, progress=None, threads=1):
             "d": len(d_keys)}
 
 
-def _link_odd_wordfixing(indices, visited, tagset, b_keys, odd_pure):
+def _link_odd_wordfixing(indices, visited, b_keys, odd_pure):
     """Merge b-classes related by word-fixing odd sign changes."""
     uf = _UnionFind(set(b_keys.values()))
     for key, (words, desc) in visited.items():
@@ -966,7 +968,7 @@ def _link_odd_wordfixing(indices, visited, tagset, b_keys, odd_pure):
         for sigma in odd_pure:
             if _words_key(act_words(sigma, indices, words)) != wk:
                 continue
-            tags = tagset(key)
+            tags = _marked_face(indices, words, desc)
             nk = (wk, min(transport_descriptor(sigma, d) for d in tags))
             if nk in visited:
                 uf.union(b_keys[key], b_keys[nk])

@@ -84,6 +84,14 @@ def test_enumerate_moebius_table(capsys):
     assert out.strip() == "3,118,22,16,12"
 
 
+def test_enumerate_moebius_all(capsys):
+    code, out = run(capsys, "enumerate", "--n", "2", "--setting", "moebius",
+                    "--all")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["a"], data["b"], data["c"], data["d"]) == (1, 1, 1, 1)
+
+
 def test_enumerate_emit_classes(tmp_path, capsys):
     out_dir = tmp_path / "classes"
     code, _ = run(capsys, "enumerate", "--n", "2", "--setting", "projective",
@@ -152,3 +160,32 @@ def test_enumerate_deterministic_output(capsys):
     code2, out2 = run(capsys, "enumerate", "--n", "3",
                       "--setting", "projective")
     assert code1 == code2 == 0 and out1 == out2
+
+
+@pytest.mark.parametrize("mark, want", [
+    ("mark: 1 x disk", "format-error"),
+    ("mark: 7 0 disk", "unknown-index"),
+    ("mark: 1 9 disk", "unknown-index"),
+])
+def test_iso_marked_rejects_bad_mark(tmp_path, capsys, mark, want):
+    from dpl import catalog
+    body = catalog.arrangement("TwoCurve").to_text()
+    (tmp_path / "a.dpl").write_text(body + "mark: 1 1 disk\n")
+    (tmp_path / "b.dpl").write_text(body + mark + "\n")
+    code, out = run(capsys, "iso", str(tmp_path / "a.dpl"),
+                    str(tmp_path / "b.dpl"),
+                    "--indexed", "--oriented", "--marked")
+    assert code == 1
+    assert json.loads(out)["code"] == want
+
+
+@pytest.mark.parametrize("verb, text", [
+    ("validate", "indices: 1 x\nD 1: -2 -2 2 2\nD 2: -1 -1 1 1\n"),
+    ("check", "indices: 1 2 3\nchi 1 2 3: C04(1 2)\n"),
+])
+def test_malformed_file_is_a_format_error(tmp_path, capsys, verb, text):
+    path = tmp_path / "bad"
+    path.write_text(text)
+    code, out = run(capsys, verb, str(path))
+    assert code == 1
+    assert json.loads(out)["code"] == "format-error"

@@ -6,10 +6,19 @@ from dpl import catalog, cyclic_thin, validate
 from dpl.errors import IllegalLocus, ResourceLimit
 from dpl.mutation import (
     MutationMove,
+    SimpleState,
+    _census_groups,
+    _marked_classes,
+    _marked_face,
+    _words_key,
+    act_words,
     apply_move,
     connectivity_check,
     inverse_split,
     moebius_census,
+    moebius_census_rows,
+    moebius_simple_census,
+    moebius_states,
     projective_census,
     pumping_check,
     triangles,
@@ -143,6 +152,33 @@ class TestMoebiusCensus:
     def test_row_three(self):
         row = moebius_census(3)
         assert (row["a"], row["b"], row["c"], row["d"]) == (118, 22, 16, 12)
+
+    def test_fast_path_matches_reference_engine(self):
+        """The face-walk census against the reference walk, which rebuilds
+        every neighbor's flag structures, and the whole-group union-find."""
+        indices, slow = moebius_simple_census(3)
+        _, fast = moebius_states(3)
+        assert len(slow) == 472 and set(slow) == set(fast)
+
+        def marked_descriptors(words, desc):
+            st = SimpleState(indices, words)
+            return st.face_descriptors(st.face_of[st.flag_from_descriptor(desc)])
+
+        for words, desc in fast.values():
+            assert (_marked_face(indices, words, desc)
+                    == marked_descriptors(words, desc))
+        tagsets = {key: (words, marked_descriptors(words, desc))
+                   for key, (words, desc) in slow.items()}
+        g = _census_groups(indices)
+        slow_row = (
+            _marked_classes(indices, tagsets, g["evens"], g["odd_pure"]),
+            _marked_classes(indices, tagsets, g["perm_evens"], g["odd_pure"]),
+            _marked_classes(indices, tagsets, g["full"], []),
+            len({min(_words_key(act_words(s, indices, words))
+                     for s in g["full"]) for words, _ in tagsets.values()}))
+        row = moebius_census_rows(3)
+        assert slow_row == (row["a"], row["b"], row["c"], row["d"]) \
+            == (118, 22, 16, 12)
 
 
 class TestFlipBookkeeping:
