@@ -11,7 +11,13 @@ off the 4-subset cycles.
 from itertools import combinations, product
 
 from . import words as W
-from .arrangement import Arrangement, validate, from_disk_only
+from .arrangement import (
+    _D_ANCHOR,
+    _M_ANCHOR,
+    _slot_positions,
+    from_disk_only,
+    validate,
+)
 from .errors import (
     BlockInconsistent,
     DplError,
@@ -278,16 +284,6 @@ class TernaryRelation:
         return (y - x) % len(cyc) < (z - x) % len(cyc)
 
 
-def _slotted(word, carrier):
-    from .arrangement import _slot_positions, _D_ANCHOR, _M_ANCHOR
-    return _slot_positions(word, carrier, _D_ANCHOR)
-
-
-def _slotted_m(word, carrier):
-    from .arrangement import _slot_positions, _M_ANCHOR
-    return _slot_positions(word, carrier, _M_ANCHOR)
-
-
 def relations_from(chi, genus_one=True):
     """Per-carrier ternary and block relations; verifies the axioms.
 
@@ -309,17 +305,16 @@ def relations_from(chi, genus_one=True):
     for i in chi.indices:
         cos = [x for x in chi.indices if x != i]
         for flavor in "DM":
+            anchor = _D_ANCHOR if flavor == "D" else _M_ANCHOR
             cycles = {}
             for bases in combinations(cos, 3):
                 arr = ext4[frozenset((i,) + bases)]
                 word = arr.disk[i] if flavor == "D" else arr.crosscap[i]
-                cycles[frozenset(bases)] = (
-                    _slotted(word, i) if flavor == "D" else _slotted_m(word, i))
+                cycles[frozenset(bases)] = _slot_positions(word, i, anchor)
             for bases in combinations(cos, 2):
                 fam = chi.entry((i,) + bases)[i]
                 word = fam[0] if flavor == "D" else fam[1]
-                cycles[frozenset(bases)] = (
-                    _slotted(word, i) if flavor == "D" else _slotted_m(word, i))
+                cycles[frozenset(bases)] = _slot_positions(word, i, anchor)
             for b in cos:
                 cycles[frozenset((b,))] = tuple(
                     W.pair_of(i, b, s) for s in (1, 2, 3, 4))
@@ -501,11 +496,15 @@ def parse_chirotope(text):
         else:
             fam = {}
             for part in body.split("|"):
-                kind, _, letters = part.strip().partition("=")
+                kind, eq, letters = part.strip().partition("=")
                 kind = kind.strip()
-                which, idx = kind[0], int(kind[1:])
-                fam.setdefault(idx, {})[which] = tuple(
-                    int(t) for t in letters.split())
+                idx = _ints(kind[1:], raw)
+                if not eq or kind[:1] not in ("D", "M") or len(idx) != 1:
+                    raise FormatError("unparseable entry %r in line %r"
+                                      % (part.strip(), raw))
+                fam.setdefault(idx[0], {})[kind[0]] = tuple(_ints(letters, raw))
+            if any("D" not in v for v in fam.values()):
+                raise FormatError("entry without a disk cycle: %r" % raw)
             disk = {i: v["D"] for i, v in fam.items()}
             cross = {i: v["M"] for i, v in fam.items() if "M" in v}
             arr = validate(disk, cross) if cross else from_disk_only(disk)

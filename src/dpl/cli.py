@@ -298,9 +298,7 @@ def main(argv=None):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--setting", choices=("projective", "moebius"),
                    default="projective")
-    p.add_argument("--simple-only", dest="all", action="store_false",
-                   default=False)
-    p.add_argument("--all", dest="all", action="store_true",
+    p.add_argument("--all", action="store_true",
                    help="include non-simple states")
     p.add_argument("--table", action="store_true", help="CSV census row")
     p.add_argument("--emit-classes", metavar="DIR")

@@ -10,10 +10,14 @@ relation and the minimum is taken.
 """
 
 import math
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 
 from . import words as W
 from .errors import GenusNotOne, UnknownIndex
+
+# (orientation, side) of the flags at one position, in flag-number order
+_EPS_SIDE = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_LOW = {es: low for low, es in enumerate(_EPS_SIDE)}
 
 # sigma1 sign action per slot of the crossing along the out-support:
 # (orientation, side) -> (orientation', side'), new slot is 1,3,2,4.
@@ -30,6 +34,129 @@ def _sig1_signs(slot, eps, side):
     return _NEG[side], _NEG[eps]
 
 
+def two_curve_step(pair, i, eps, side):
+    """sigma1 of the 2-subarrangement of ``pair`` on a flag of curve ``i``.
+
+    Returns ``(j, eps', side')``: the image lies on the co-curve ``j`` at
+    the vertex of ``pair``.
+    """
+    eps2, side2 = _sig1_signs(W.slot_of(pair, i), eps, side)
+    return abs(W.co_index(pair, i)), eps2, side2
+
+
+# ---------------------------------------------------------------------------
+# the flag structure shared by FlagComplex and mutation.SimpleState
+#
+# Flags are numbered by (curve, position, orientation, side): the flag at
+# position p of curve i is 4 * (start[i] + p) + _LOW[(eps, side)], where
+# start[i] counts the positions of the curves before i.
+
+
+def flag_id(start, i, p, eps, side):
+    return 4 * (start[i] + p) + _LOW[(eps, side)]
+
+
+def crossing_positions(indices, pairs):
+    """pair -> {curve: position of the pair's vertex along that curve}.
+
+    ``pairs[i][p]`` is the crossing pair at position ``p`` of curve ``i``,
+    or None at a multiple vertex (which has no such entry).
+    """
+    pos = {}
+    for i in indices:
+        for p, pair in enumerate(pairs[i]):
+            if pair is not None:
+                pos.setdefault(pair, {})[i] = p
+    return pos
+
+
+def flag_sigmas(indices, pairs, pos):
+    """``(start, sigma0, sigma1, sigma2)`` of the flag numbering above.
+
+    ``pairs`` and ``pos`` are as in :func:`crossing_positions`.  sigma0
+    moves to the neighbouring position and reverses the orientation,
+    sigma2 flips the side, and sigma1 is the two-curve step at a simple
+    vertex; at a multiple vertex sigma1 is left None for the caller.
+    """
+    start = {}
+    total = 0
+    for i in indices:
+        start[i] = total
+        total += len(pairs[i])
+    s0 = [0] * (4 * total)
+    s1 = [None] * (4 * total)
+    for i in indices:
+        row = pairs[i]
+        L = len(row)
+        for p, pair in enumerate(row):
+            f = 4 * (start[i] + p)
+            g = 4 * (start[i] + (p + 1) % L)
+            s0[f], s0[f + 1], s0[g + 2], s0[g + 3] = g + 2, g + 3, f, f + 1
+            if pair is None:
+                continue
+            for low, (eps, side) in enumerate(_EPS_SIDE):
+                j, eps2, side2 = two_curve_step(pair, i, eps, side)
+                s1[f + low] = flag_id(start, j, pos[pair][j], eps2, side2)
+    s2 = [f ^ 1 for f in range(4 * total)]
+    return start, s0, s1, s2
+
+
+def face_orbits(sigma0, sigma1):
+    """Orbits of <sigma0, sigma1>: sorted flag tuples numbered by their
+    least flag, and the face index of every flag."""
+    face_of = [-1] * len(sigma0)
+    faces = []
+    for f in range(len(sigma0)):
+        if face_of[f] >= 0:
+            continue
+        t = len(faces)
+        face_of[f] = t
+        orbit = [f]
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            for h in (sigma0[g], sigma1[g]):
+                if face_of[h] < 0:
+                    face_of[h] = t
+                    orbit.append(h)
+                    stack.append(h)
+        faces.append(tuple(sorted(orbit)))
+    return tuple(faces), face_of
+
+
+def side_labels(indices, start, faces, face_of):
+    """face -> {curve: -1 disk side / +1 crosscap side}.
+
+    The flags of a face name its side of their own curve; crossing an edge
+    of curve ``i`` flips the side of ``i`` and keeps every other side.
+    """
+    sides = [{} for _ in faces]
+    adj = [[] for _ in faces]
+    ends = [start[i] for i in indices[1:]] + [len(face_of) // 4]
+    for i, end in zip(indices, ends):
+        for k in range(start[i], end):
+            # the edge after position k: crosscap face, disk face
+            t, u = face_of[4 * k], face_of[4 * k + 1]
+            assert sides[t].get(i, 1) == 1 and sides[u].get(i, -1) == -1
+            sides[t][i] = 1
+            sides[u][i] = -1
+            adj[t].append((u, i))
+            adj[u].append((t, i))
+    for curve in indices:
+        todo = deque(t for t in range(len(faces)) if curve in sides[t])
+        while todo:
+            t = todo.popleft()
+            for u, i in adj[t]:
+                val = sides[t][curve] * (-1 if i == curve else 1)
+                if curve in sides[u]:
+                    assert sides[u][curve] == val
+                else:
+                    sides[u][curve] = val
+                    todo.append(u)
+    assert all(len(s) == len(indices) for s in sides)
+    return sides
+
+
 class FlagComplex:
     """Cell-complex view of a validated arrangement."""
 
@@ -38,32 +165,33 @@ class FlagComplex:
         self.node_list = sorted(arr.nodes, key=lambda nd: sorted(nd))
         self.node_id = {nd: k for k, nd in enumerate(self.node_list)}
 
-        flags = []
-        fid = {}
-        for i in arr.indices:
-            for b, node in enumerate(arr.node_cycles[i]):
-                for eps in (1, -1):
-                    for side in (1, -1):
-                        fid[(self.node_id[node], eps, i, side)] = len(flags)
-                        flags.append((self.node_id[node], eps, i, side))
-        self.flags = flags
-        self.fid = fid
-
         # position of each node along each of its carriers
         self.block_index = {}
+        flags = []
+        pairs = {}
         for i in arr.indices:
+            row = []
             for b, node in enumerate(arr.node_cycles[i]):
-                self.block_index[(self.node_id[node], i)] = b
+                nd = self.node_id[node]
+                self.block_index[(nd, i)] = b
+                flags.extend((nd, eps, i, side) for eps, side in _EPS_SIDE)
+                row.append(next(iter(node)) if len(node) == 1 else None)
+            pairs[i] = row
+        self.flags = flags
+        self.fid = {fl: f for f, fl in enumerate(flags)}
 
-        self.sigma0 = self._build_sigma0()
-        self.sigma2 = [fid[(nd, eps, i, -side)] for nd, eps, i, side in flags]
-        self.sigma1 = self._build_sigma1()
+        self.start, self.sigma0, self.sigma1, self.sigma2 = flag_sigmas(
+            arr.indices, pairs, crossing_positions(arr.indices, pairs))
+        for f, g in enumerate(self.sigma1):
+            if g is None:
+                self.sigma1[f] = self._dominance_min(f)
 
         for f in range(len(flags)):
             assert self.sigma0[self.sigma2[f]] == self.sigma2[self.sigma0[f]]
             assert self.sigma1[self.sigma1[f]] == f
 
         self._faces = None
+        self._face_of = None
         self._face_sides = None
         self._vertex_sides = None
         self._plain_key = None
@@ -71,62 +199,27 @@ class FlagComplex:
 
     # -- involutions ----------------------------------------------------
 
-    def _build_sigma0(self):
-        arr = self.arr
-        out = [0] * len(self.flags)
-        for f, (nd, eps, i, side) in enumerate(self.flags):
-            cyc = arr.node_cycles[i]
-            b = self.block_index[(nd, i)]
-            b2 = (b + 1) % len(cyc) if eps > 0 else (b - 1) % len(cyc)
-            out[f] = self.fid[(self.node_id[cyc[b2]], -eps, i, side)]
-        return out
-
-    def _two_curve_step(self, node_id, eps, supp, side, pair):
-        """Image of a flag under sigma1 of the 2-subarrangement of ``pair``."""
-        slot = W.slot_of(pair, supp)
-        eps2, side2 = _sig1_signs(slot, eps, side)
-        j = abs(W.co_index(pair, supp))
-        return (node_id, eps2, j, side2)
-
-    def _build_sigma1(self):
-        arr = self.arr
-        out = [0] * len(self.flags)
-        for f, (nd, eps, i, side) in enumerate(self.flags):
-            node = self.node_list[nd]
-            pairs = {abs(W.co_index(p, i)): p
-                     for p in node if i in {abs(x) for x in p}}
-            cands = {}
-            for j, pair in pairs.items():
-                cands[j] = self._two_curve_step(nd, eps, i, side, pair)
-            if len(cands) == 1:
-                (g,) = cands.values()
-            else:
-                g = self._dominance_min(nd, node, cands)
-            out[f] = self.fid[g]
-        return out
-
-    def _dominance_min(self, nd, node, cands):
-        """Minimum of the candidate flags under the dominance order."""
-        items = list(cands.items())
-        for j, gj in items:
-            wins = 0
-            for k, gk in items:
-                if k == j:
-                    continue
-                if self._dominates(nd, node, gj, gk):
-                    wins += 1
-            if wins == len(items) - 1:
-                return gj
+    def _dominance_min(self, f):
+        """sigma1 at a multiple vertex: the two-curve images of the flag,
+        one per curve through the vertex, and the minimum of them under
+        the dominance order."""
+        nd, eps, i, side = self.flags[f]
+        node = self.node_list[nd]
+        cands = [two_curve_step(pair, i, eps, side) for pair in node
+                 if i in (abs(pair[0]), abs(pair[1]))]
+        for j, eps_j, side_j in cands:
+            # gj < gk iff the side flip then the {j,k} step takes gj to gk
+            if all(gk[0] == j
+                   or two_curve_step(self._pair(node, j, gk[0]), j, eps_j,
+                                     -side_j) == gk
+                   for gk in cands):
+                return self.fid[(nd, eps_j, j, side_j)]
         raise AssertionError("dominance relation is not total at node %r"
                              % (sorted(node),))
 
-    def _dominates(self, nd, node, gj, gk):
-        """gj < gk iff applying side-flip then the {j,k} step to gj gives gk."""
-        _, eps, j, side = gj
-        k = gk[2]
-        pair = next(p for p in node
-                    if {abs(x) for x in p} == {j, k})
-        return self._two_curve_step(nd, eps, j, -side, pair) == gk
+    @staticmethod
+    def _pair(node, j, k):
+        return next(p for p in node if {abs(x) for x in p} == {j, k})
 
     # -- faces ------------------------------------------------------------
 
@@ -134,24 +227,14 @@ class FlagComplex:
     def faces(self):
         """Orbits of <sigma0, sigma1>, each a tuple of flag ids."""
         if self._faces is None:
-            seen = [False] * len(self.flags)
-            faces = []
-            for f in range(len(self.flags)):
-                if seen[f]:
-                    continue
-                orbit = []
-                stack = [f]
-                seen[f] = True
-                while stack:
-                    g = stack.pop()
-                    orbit.append(g)
-                    for h in (self.sigma0[g], self.sigma1[g]):
-                        if not seen[h]:
-                            seen[h] = True
-                            stack.append(h)
-                faces.append(tuple(sorted(orbit)))
-            self._faces = tuple(faces)
+            self._faces, self._face_of = face_orbits(self.sigma0, self.sigma1)
         return self._faces
+
+    @property
+    def face_of(self):
+        """Face index of every flag."""
+        self.faces
+        return self._face_of
 
     @property
     def f_vector(self):
@@ -179,69 +262,23 @@ class FlagComplex:
 
     # -- sides ------------------------------------------------------------
 
-    def _edge_key(self, f):
-        nd, eps, i, side = self.flags[f]
-        cyc_len = len(self.arr.node_cycles[i])
-        b = self.block_index[(nd, i)]
-        arc = b if eps > 0 else (b - 1) % cyc_len
-        return (i, arc)
-
     @property
     def face_sides(self):
         """face index -> {curve: -1 disk side / +1 crosscap side}."""
         if self._face_sides is None:
-            faces = self.faces
-            face_of = {}
-            for t, face in enumerate(faces):
-                for f in face:
-                    face_of[f] = t
-            # adjacency across edges with the supporting curve
-            edge_faces = defaultdict(set)
-            for f in range(len(self.flags)):
-                edge_faces[self._edge_key(f)].add(face_of[f])
-            sides = [dict() for _ in faces]
-            for t, face in enumerate(faces):
-                for f in face:
-                    nd, eps, i, side = self.flags[f]
-                    prev = sides[t].get(i)
-                    assert prev is None or prev == side
-                    sides[t][i] = side
-            adj = defaultdict(list)
-            for (i, arc), ts in edge_faces.items():
-                ts = tuple(ts)
-                if len(ts) == 2:
-                    adj[ts[0]].append((ts[1], i))
-                    adj[ts[1]].append((ts[0], i))
-                else:  # one face on both sides of the edge
-                    adj[ts[0]].append((ts[0], i))
-            for curve in self.arr.indices:
-                todo = deque(t for t in range(len(faces)) if curve in sides[t])
-                while todo:
-                    t = todo.popleft()
-                    for t2, i in adj[t]:
-                        val = sides[t][curve] * (-1 if i == curve else 1)
-                        if curve in sides[t2]:
-                            assert sides[t2][curve] == val
-                        else:
-                            sides[t2][curve] = val
-                            todo.append(t2)
-            assert all(len(s) == len(self.arr.indices) for s in sides)
-            self._face_sides = tuple(sides)
+            self._face_sides = tuple(side_labels(
+                self.arr.indices, self.start, self.faces, self.face_of))
         return self._face_sides
 
     @property
     def vertex_sides(self):
         """node -> {curve not through the node: side sign}."""
         if self._vertex_sides is None:
-            face_of = {}
-            for t, face in enumerate(self.faces):
-                for f in face:
-                    face_of[f] = t
             out = {}
             for nd, node in enumerate(self.node_list):
                 bases = {abs(x) for pair in node for x in pair}
-                f = next(f for f, fl in enumerate(self.flags) if fl[0] == nd)
-                sides = self.face_sides[face_of[f]]
+                f = self.fid[(nd, 1, min(bases), 1)]
+                sides = self.face_sides[self.face_of[f]]
                 out[node] = {i: sides[i] for i in self.arr.indices
                              if i not in bases}
             self._vertex_sides = out
@@ -255,12 +292,8 @@ class FlagComplex:
         if not 0 <= arc < len(cycle):
             raise UnknownIndex("curve %d has arcs 0..%d, not %r"
                                % (curve, len(cycle) - 1, arc))
-        nd = self.node_id[cycle[(arc + 1) % len(cycle)]]
-        f = self.fid[(nd, -1, curve, side)]
-        for t, face in enumerate(self.faces):
-            if f in face:
-                return t
-        raise AssertionError
+        p = (arc + 1) % len(cycle)
+        return self.face_of[flag_id(self.start, curve, p, -1, side)]
 
     def admissible_cells(self):
         """Faces contained in the disk side of every curve (genus 1 only)."""
@@ -357,10 +390,7 @@ class FlagComplex:
             lines.append("}")
             return "\n".join(lines) + "\n"
         if graph == "dual":
-            face_of = {}
-            for t, face in enumerate(self.faces):
-                for f in face:
-                    face_of[f] = t
+            face_of = self.face_of
             edges = set()
             for f in range(len(self.flags)):
                 t = face_of[f]

@@ -17,95 +17,63 @@ through the move by one of its corner flags away from the triangle.
 from collections import Counter, deque
 
 from . import words as W
-from .arrangement import Arrangement, cyclic_thin, from_disk_only, validate
+from .arrangement import (
+    _D_ANCHOR,
+    _slot_positions,
+    cyclic_thin,
+    from_disk_only,
+    validate,
+)
 from .errors import DplError, IllegalLocus, ResourceLimit
+from .flags import (
+    _EPS_SIDE,
+    crossing_positions,
+    face_orbits,
+    flag_id,
+    flag_sigmas,
+    side_labels,
+    two_curve_step,
+)
 
 # ---------------------------------------------------------------------------
 # lean engine for simple arrangements (states are disk-word families)
 
 
+def _disk_pairs(indices, words):
+    """Crossing pair at each position of each disk cycle, and the
+    positions of each pair's vertex (see :func:`flags.crossing_positions`)."""
+    pairs = {i: _slot_positions(words[k], i, _D_ANCHOR)
+             for k, i in enumerate(indices)}
+    return pairs, crossing_positions(indices, pairs)
+
+
 class SimpleState:
     """Flag structures of a simple arrangement given by its disk cycles."""
 
-    __slots__ = ("indices", "words", "pairs", "pos", "offset", "nflags",
+    __slots__ = ("indices", "words", "pairs", "pos", "start",
                  "s0", "s1", "s2", "_faces", "_face_of")
 
     def __init__(self, indices, words):
         self.indices = indices
         self.words = words
-        from .arrangement import _slot_positions, _D_ANCHOR
-        self.pairs = {i: _slot_positions(words[k], i, _D_ANCHOR)
-                      for k, i in enumerate(indices)}
-        pos = {}
-        for i in indices:
-            for p, pair in enumerate(self.pairs[i]):
-                pos.setdefault(pair, {})[i] = p
-        self.pos = pos
-        offset = {}
-        total = 0
-        for k, i in enumerate(indices):
-            offset[i] = total
-            total += 4 * len(words[k])
-        self.offset = offset
-        self.nflags = total
-        self._build_sigmas()
+        self.pairs, self.pos = _disk_pairs(indices, words)
+        self.start, self.s0, self.s1, self.s2 = flag_sigmas(
+            indices, self.pairs, self.pos)
         self._faces = None
         self._face_of = None
 
     def fid(self, i, p, eps, side):
-        return self.offset[i] + 4 * p + (0 if eps > 0 else 2) + (0 if side > 0 else 1)
+        return flag_id(self.start, i, p, eps, side)
 
     def flag(self, f):
-        for i in reversed(self.indices):
-            if f >= self.offset[i]:
-                rest = f - self.offset[i]
-                p, low = divmod(rest, 4)
-                return (i, p, 1 if low < 2 else -1, 1 if low % 2 == 0 else -1)
-        raise AssertionError
-
-    def _build_sigmas(self):
-        n = self.nflags
-        s0 = [0] * n
-        s1 = [0] * n
-        s2 = [0] * n
-        from .flags import _sig1_signs
-        for f in range(n):
-            i, p, eps, side = self.flag(f)
-            L = len(self.pairs[i])
-            s0[f] = self.fid(i, (p + eps) % L, -eps, side)
-            s2[f] = self.fid(i, p, eps, -side)
-            pair = self.pairs[i][p]
-            slot = W.slot_of(pair, i)
-            eps2, side2 = _sig1_signs(slot, eps, side)
-            j = abs(W.co_index(pair, i))
-            s1[f] = self.fid(j, self.pos[pair][j], eps2, side2)
-        self.s0, self.s1, self.s2 = s0, s1, s2
+        k, low = divmod(f, 4)
+        i = next(i for i in reversed(self.indices) if k >= self.start[i])
+        return (i, k - self.start[i]) + _EPS_SIDE[low]
 
     @property
     def faces(self):
         if self._faces is None:
-            seen = bytearray(self.nflags)
-            faces = []
-            face_of = [0] * self.nflags
-            for f in range(self.nflags):
-                if seen[f]:
-                    continue
-                orbit = [f]
-                seen[f] = 1
-                stack = [f]
-                while stack:
-                    g = stack.pop()
-                    for h in (self.s0[g], self.s1[g]):
-                        if not seen[h]:
-                            seen[h] = 1
-                            orbit.append(h)
-                            stack.append(h)
-                t = len(faces)
-                for g in orbit:
-                    face_of[g] = t
-                faces.append(tuple(orbit))
-            self._faces = faces
-            self._face_of = face_of
+            self._faces, self._face_of = face_orbits(self.s0, self.s1)
         return self._faces
 
     @property
@@ -150,37 +118,7 @@ class SimpleState:
 
     def face_sides(self):
         """face -> {curve: side}; -1 is the disk side."""
-        faces = self.faces
-        sides = [dict() for _ in faces]
-        for f in range(self.nflags):
-            i, p, eps, side = self.flag(f)
-            sides[self.face_of[f]][i] = side
-        adj = {}
-        for f in range(self.nflags):
-            i, p, eps, side = self.flag(f)
-            arc = p if eps > 0 else (p - 1) % len(self.pairs[i])
-            adj.setdefault((i, arc), set()).add(self.face_of[f])
-        pairs = []
-        for (i, arc), ts in adj.items():
-            ts = tuple(ts)
-            pairs.append((ts[0], ts[-1], i))
-        for curve in self.indices:
-            todo = deque(t for t in range(len(faces)) if curve in sides[t])
-            known = {t: sides[t][curve] for t in todo}
-            while todo:
-                t = todo.popleft()
-                for a, b, i in pairs:
-                    if t not in (a, b):
-                        continue
-                    u = b if t == a else a
-                    val = known[t] * (-1 if i == curve else 1)
-                    if u in known:
-                        assert known[u] == val
-                    else:
-                        known[u] = val
-                        sides[u][curve] = val
-                        todo.append(u)
-        return sides
+        return side_labels(self.indices, self.start, self.faces, self.face_of)
 
 
 def _swap_words(indices, words, swaps):
@@ -220,11 +158,15 @@ def transport_descriptor(sigma, desc):
     inv = sigma.inverse()
     i, pair, eps, side = desc
     ii = inv(i)
-    flips = sum(1 for x in pair if inv(abs(x)) < 0)
+    return (abs(ii), _transport_pair(inv, pair), eps if ii > 0 else -eps,
+            side)
+
+
+def _transport_pair(inv, pair):
     new_pair = W.act_pair(inv, pair)
-    if flips == 1:
+    if sum(1 for x in pair if inv(abs(x)) < 0) == 1:
         new_pair = (-new_pair[1], -new_pair[0])
-    return (abs(ii), new_pair, eps if ii > 0 else -eps, side)
+    return new_pair
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +407,7 @@ def moebius_census(n, simple_only=True, limit=None, progress=None):
     g = _census_groups(indices)
     states = set(heavy)
     underlying = {arr.key(): arr for arr, _ in heavy.values()}
-    d = {min(arr.act(s).key() for s in g["full"])
+    d = {min(_acted_key(s, arr) for s in g["full"])
          for arr in underlying.values()}
     return {"n": n,
             "a": _heavy_classes(heavy, states, g["evens"], g["odd_pure"]),
@@ -664,17 +606,12 @@ def _heavy_lookup(cx, desc):
 
 
 def transport_heavy_descriptor(sigma, desc):
+    """:func:`transport_descriptor` for a descriptor naming a whole node."""
     inv = sigma.inverse()
     i, node_tuple, eps, side = desc
     ii = inv(i)
-    node2 = []
-    for pair in node_tuple:
-        flips = sum(1 for x in pair if inv(abs(x)) < 0)
-        p2 = W.act_pair(inv, pair)
-        if flips == 1:
-            p2 = (-p2[1], -p2[0])
-        node2.append(p2)
-    return (abs(ii), tuple(sorted(node2)), eps if ii > 0 else -eps, side)
+    node2 = tuple(sorted(_transport_pair(inv, pair) for pair in node_tuple))
+    return (abs(ii), node2, eps if ii > 0 else -eps, side)
 
 
 def moebius_full_census(n, limit=None):
@@ -691,9 +628,7 @@ def moebius_full_census(n, limit=None):
 
     def push(arr, desc):
         cx = arr.complex
-        f = _heavy_lookup(cx, desc)
-        face = next(tt for tt, fc in enumerate(cx.faces) if f in fc)
-        tags = _heavy_descs(cx, face)
+        tags = _heavy_descs(cx, cx.face_of[_heavy_lookup(cx, desc)])
         key = (arr.key(), min(tags))
         if key not in visited:
             visited[key] = (arr, min(tags))
@@ -713,8 +648,7 @@ def moebius_full_census(n, limit=None):
                                 partial=len(visited))
         arr, desc = visited[key]
         cx = arr.complex
-        f = _heavy_lookup(cx, desc)
-        marked = next(t for t, fc in enumerate(cx.faces) if f in fc)
+        marked = cx.face_of[_heavy_lookup(cx, desc)]
         marked_tags = _heavy_descs(cx, marked)
         marked_nodes = {frozenset(d[1]) for d in marked_tags}
 
@@ -756,15 +690,22 @@ def _heavy_classes(heavy, subset, group, odd_pure):
         arr, tags = heavy[key]
         wk = arr.key()
         for sigma in group + odd_pure:
-            arr2 = arr.act(sigma)
-            if sigma in odd_pure and arr2.key() != wk:
+            ak = _acted_key(sigma, arr)
+            if sigma in odd_pure and ak != wk:
                 continue
-            tags2 = frozenset(transport_heavy_descriptor(sigma, d)
-                              for d in tags)
-            nk = (arr2.key(), min(tags2))
+            nk = (ak, min(transport_heavy_descriptor(sigma, d) for d in tags))
             if nk in subset:
                 uf.union(key, nk)
     return uf.count()
+
+
+def _acted_key(sigma, arr):
+    """``arr.act(sigma).key()`` without validating the acted families."""
+    idx = arr.indices
+    return (idx,
+            _words_key(act_words(sigma, idx, tuple(arr.disk[i] for i in idx))),
+            _words_key(act_words(sigma, idx,
+                                 tuple(arr.crosscap[i] for i in idx))))
 
 
 def moebius_chirotope_counts(n, limit=None):
@@ -790,19 +731,11 @@ def moebius_chirotope_counts(n, limit=None):
 # quotients minimize over the group with per-cycle pruning.  This is the
 # engine of the simple crosscap census at every size.
 
-from .arrangement import _D_ANCHOR, _slot_positions
-from .flags import _sig1_signs
-
 
 def _marked_face(indices, words, desc):
     """Descriptors of the face holding flag ``desc``, found by walking that
     face alone (no full state build)."""
-    pairs = {i: _slot_positions(words[k], i, _D_ANCHOR)
-             for k, i in enumerate(indices)}
-    pos = {}
-    for i in indices:
-        for p, pair in enumerate(pairs[i]):
-            pos.setdefault(pair, {})[i] = p
+    pairs, pos = _disk_pairs(indices, words)
     i0, pair0, eps0, side0 = desc
     start = (i0, pos[pair0][i0], eps0, side0)
     seen = {start}
@@ -812,9 +745,7 @@ def _marked_face(indices, words, desc):
         L = len(pairs[i])
         nxt = (i, (p + eps) % L, -eps, side)
         pair = pairs[i][p]
-        slot = W.slot_of(pair, i)
-        eps2, side2 = _sig1_signs(slot, eps, side)
-        j = abs(W.co_index(pair, i))
+        j, eps2, side2 = two_curve_step(pair, i, eps, side)
         swap = (j, pos[pair][j], eps2, side2)
         for g in (nxt, swap):
             if g not in seen:

@@ -189,3 +189,19 @@ def test_malformed_file_is_a_format_error(tmp_path, capsys, verb, text):
     code, out = run(capsys, verb, str(path))
     assert code == 1
     assert json.loads(out)["code"] == "format-error"
+
+
+@pytest.mark.parametrize("entry", [
+    "Dx=2 2",
+    "D1=2 x",
+    "=2 2",
+    "Q1=2 2",
+    "M1=-2 -2 2 2 -3 -3 3 3 | M2=1 1 -1 -1 3 3 -3 -3 | M3=1 1 -1 -1 2 2 -2 -2",
+    "C04",
+])
+def test_malformed_chirotope_entry_is_a_format_error(tmp_path, capsys, entry):
+    path = tmp_path / "bad.chi"
+    path.write_text("indices: 1 2 3\nchi 1 2 3: %s\n" % entry)
+    code, out = run(capsys, "check", str(path))
+    assert code == 1
+    assert json.loads(out)["code"] == "format-error"

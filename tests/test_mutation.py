@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dpl import catalog, cyclic_thin, validate
+from dpl import all_c64, catalog, cyclic_thin, from_disk_only, validate
 from dpl.errors import IllegalLocus, ResourceLimit
 from dpl.mutation import (
     MutationMove,
@@ -193,3 +193,23 @@ class TestFlipBookkeeping:
             assert sum(s * c for s, c in out.f_vector.items()) == 2 * E
             assert out.f_vector.get(3, 0) >= 1
             arr = out
+
+
+class TestOneFlagStructure:
+    def test_simple_state_matches_flag_complex(self):
+        """The census engine's flag arrays are the validated complex's."""
+        cen = projective_census(3)
+        arrs = [from_disk_only(dict(zip(cen["indices"], w)))
+                for w in cen["indexed_classes"].values()]
+        arrs += [fx.arrangement for fx in catalog.all()
+                 if fx.arrangement.is_simple()]
+        arrs += [cyclic_thin(n) for n in range(2, 6)]
+        arrs += [all_c64(n) for n in range(3, 7)]
+        assert len(arrs) > 216 + 13
+        for arr in arrs:
+            cx = arr.complex
+            st = SimpleState(arr.indices,
+                             tuple(arr.disk[i] for i in arr.indices))
+            assert (st.s0, st.s1, st.s2) == (cx.sigma0, cx.sigma1, cx.sigma2)
+            assert st.faces == cx.faces and st.face_of == cx.face_of
+            assert st.face_sides() == list(cx.face_sides)
