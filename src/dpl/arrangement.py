@@ -71,48 +71,34 @@ def _slot_positions(word, carrier, anchor):
     return tuple(pairs)
 
 
-def _all_partitions(S, T, start, max_block, carrier):
-    """All decompositions of the cyclic window starting at ``start``."""
-    L = len(S)
-    found = []
-    stack = [(0, ())]
-    while stack:
-        pos, spans = stack.pop()
-        if pos == L:
-            found.append(spans)
-            continue
-        for length in range(1, max_block + 1):
-            if pos + length > L:
-                break
-            sl = tuple((start + t) % L for t in range(pos, pos + length))
-            block_S = [S[p] for p in sl]
-            if [T[p] for p in sl] != block_S[::-1]:
-                continue
-            cobases = {abs(W.co_index(pr, carrier)) for pr in block_S}
-            if len(cobases) != length:
-                continue
-            stack.append((pos + length, spans + (sl,)))
-    return found
-
-
 def _decompose(S, T_given, max_block, carrier):
     """Align the crosscap slots with the disk slots and find the factors.
 
     Returns ``(shift, spans)``: walk position ``p`` corresponds to position
     ``(p + shift) % L`` of the given crosscap cycle, and ``spans`` lists the
     prime-factor position tuples in walk order.
+
+    The crossing pairs of a cycle are distinct, so ``S[0]`` lies in a
+    factor of at most ``max_block`` letters, whose reversal puts ``S[0]``
+    within ``max_block - 1`` places of walk position 0: that leaves
+    ``2 * max_block - 1`` shifts.  For each shift and each start of the
+    first factor at most ``max_block - 1`` places before position 0, the
+    factors are forced (see :func:`_forced_factors`).
     """
     L = len(S)
     if sorted(S) != sorted(T_given):
         raise NoBlockDecomposition(
             "disk and crosscap slots of %d disagree" % carrier, carrier=carrier
         )
+    walk_pos = {pair: p for p, pair in enumerate(S)}
+    walk_of = [walk_pos[pair] for pair in T_given]
+    shifts = sorted({(walk_of.index(0) - d) % L
+                     for d in range(1 - max_block, max_block)}) if L else ()
     solutions = {}
-    for r in range(L):
-        T = tuple(T_given[(p + r) % L] for p in range(L))
-        for back in range(max_block):
-            s = (-back) % L
-            for spans in _all_partitions(S, T, s, max_block, carrier):
+    for r in shifts:
+        for start in range(0, -max_block, -1):
+            spans = _forced_factors(S, walk_of, r, start, max_block, carrier)
+            if spans is not None:
                 solutions.setdefault(frozenset(spans), r)
     if not solutions:
         raise NoBlockDecomposition(
@@ -127,6 +113,32 @@ def _decompose(S, T_given, max_block, carrier):
     spans_set, r = solutions.popitem()
     spans = sorted(spans_set, key=lambda span: span[0])
     return r, tuple(spans)
+
+
+def _forced_factors(S, walk_of, r, start, max_block, carrier):
+    """The factors of the cycle from walk position ``start`` on, each
+    reversed by the crosscap cycle shifted by ``r``, or None.
+
+    ``walk_of[x]`` is the walk position of the pair at position ``x`` of
+    the crosscap cycle.  A factor starting at ``a`` ends where the
+    crosscap pair at ``a`` sits in the walk, which fixes its length.
+    """
+    L = len(S)
+    spans = []
+    a = start
+    while a < start + L:
+        k = (walk_of[(a + r) % L] - a) % L + 1
+        if k > max_block or a + k > start + L:
+            return None
+        span = tuple((a + t) % L for t in range(k))
+        if any(walk_of[(p + r) % L] != span[-1 - t]
+               for t, p in enumerate(span)):
+            return None
+        if len({abs(W.co_index(S[p], carrier)) for p in span}) != k:
+            return None
+        spans.append(span)
+        a += k
+    return spans
 
 
 def _node_of_block(block):
@@ -280,9 +292,7 @@ class Arrangement:
 
     def key(self):
         """Canonical form of the indexed-oriented isotopy class."""
-        return (self.indices,
-                tuple(W.min_rotation(self.disk[i]) for i in self.indices),
-                tuple(W.min_rotation(self.crosscap[i]) for i in self.indices))
+        return family_key(self.indices, self.disk, self.crosscap)
 
     def __eq__(self, other):
         return isinstance(other, Arrangement) and self.key() == other.key()
@@ -322,6 +332,13 @@ class Arrangement:
         return data
 
 
+def family_key(indices, disk, crosscap):
+    """:meth:`Arrangement.key` of the given side-cycle families."""
+    return (indices,
+            tuple(W.min_rotation(disk[i]) for i in indices),
+            tuple(W.min_rotation(crosscap[i]) for i in indices))
+
+
 def validate(disk, crosscap):
     """Build an :class:`Arrangement` from side-cycle families, or raise.
 
@@ -333,6 +350,9 @@ def validate(disk, crosscap):
     indices = tuple(sorted(disk))
     if len(indices) < 2:
         raise SubsetTooSmall("an arrangement needs at least 2 curves")
+    if indices[0] <= 0:
+        raise FormatError("curve indices must be positive, got %r"
+                          % (indices,))
     if set(crosscap) != set(disk):
         raise FormatError("disk and crosscap cycles cover different indices")
     allowed = set(indices)

@@ -124,11 +124,14 @@ def parse_label(line):
         tokens = chunk.split()
         if not tokens:
             raise MalformedWord("empty part in %r" % line)
+        try:
+            letters = tuple(TOUCH if t == "." else int(t) for t in tokens)
+        except ValueError as exc:
+            raise MalformedWord("bad letter in %r" % line) from exc
         if len(tokens) == 1 and tokens[0] != ".":
-            parts.append(("lone", int(tokens[0])))
+            parts.append(("lone", letters[0]))
         else:
-            word = tuple(TOUCH if t == "." else int(t) for t in tokens)
-            parts.append(("word", word))
+            parts.append(("word", letters))
     return CocycleLabel(parts)
 
 

@@ -13,6 +13,7 @@ import math
 from collections import Counter, deque
 
 from . import words as W
+from .arrangement import family_key
 from .errors import GenusNotOne, UnknownIndex
 
 # (orientation, side) of the flags at one position, in flag-number order
@@ -161,7 +162,11 @@ class FlagComplex:
     """Cell-complex view of a validated arrangement."""
 
     def __init__(self, arr):
-        self.arr = arr
+        # what the complex reads of ``arr`` later; holding ``arr`` itself
+        # would make a reference cycle through ``arr.complex``
+        self.indices = arr.indices
+        self.node_cycles = arr.node_cycles
+        self.disk, self.crosscap = arr.disk, arr.crosscap
         self.node_list = sorted(arr.nodes, key=lambda nd: sorted(nd))
         self.node_id = {nd: k for k, nd in enumerate(self.node_list)}
 
@@ -267,7 +272,7 @@ class FlagComplex:
         """face index -> {curve: -1 disk side / +1 crosscap side}."""
         if self._face_sides is None:
             self._face_sides = tuple(side_labels(
-                self.arr.indices, self.start, self.faces, self.face_of))
+                self.indices, self.start, self.faces, self.face_of))
         return self._face_sides
 
     @property
@@ -279,14 +284,14 @@ class FlagComplex:
                 bases = {abs(x) for pair in node for x in pair}
                 f = self.fid[(nd, 1, min(bases), 1)]
                 sides = self.face_sides[self.face_of[f]]
-                out[node] = {i: sides[i] for i in self.arr.indices
+                out[node] = {i: sides[i] for i in self.indices
                              if i not in bases}
             self._vertex_sides = out
         return self._vertex_sides
 
     def face_at(self, curve, arc, side):
         """Index of the face incident to the given arc on the given side."""
-        cycle = self.arr.node_cycles.get(curve)
+        cycle = self.node_cycles.get(curve)
         if cycle is None:
             raise UnknownIndex("no curve %r" % (curve,))
         if not 0 <= arc < len(cycle):
@@ -338,13 +343,14 @@ class FlagComplex:
         """Canonical byte string; equal keys iff isomorphic in the mode."""
         if mode == "plain":
             return self._plain()
+        key = family_key(self.indices, self.disk, self.crosscap)
         if mode == "indexed_oriented":
-            return repr(self.arr.key()).encode()
+            return repr(key).encode()
         if mode == "marked":
             if marked_face is None:
                 raise ValueError("marked mode needs a face index")
             tag = min(self._flag_descriptor(f) for f in self.faces[marked_face])
-            return repr((self.arr.key(), tag)).encode()
+            return repr((key, tag)).encode()
         raise ValueError("unknown mode %r" % mode)
 
     def _flag_descriptor(self, f):

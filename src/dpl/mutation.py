@@ -485,35 +485,44 @@ def _swap_adjacent(word, p):
 
 
 def _split_candidates(arr, node, m):
-    """The two valid releases of ``m`` off the vertex, keyed canonically.
+    """The two releases of ``m`` off the vertex, sorted by key.
 
-    Candidate words are enumerated over the per-carrier placements of the
-    released crossings (the kept vertex keeps its factor order; crosscap
-    spans are forced by the blockwise-reversal rule) and filtered through
-    validation.
+    ``m``'s factor at the vertex keeps its order or is reversed; every
+    other carrier ``c`` moves its ``m`` letter to the head of its factor
+    when ``c`` enters ``m``'s factor negatively and to the tail otherwise,
+    or the other way round for the reversed factor.  The crosscap spans
+    follow by blockwise reversal.  Both releases are validated and must
+    split the vertex on the same surface.
     """
-    from itertools import product as _product
+    if node not in arr.nodes:
+        raise IllegalLocus("unknown node %r" % (node,))
     bases = sorted({abs(x) for pair in node for x in pair})
-    carriers = [c for c in bases if c != m] + [m]
+    if len(bases) < 3:
+        raise IllegalLocus("vertex %r is already simple" % (sorted(node),))
+    if m not in bases:
+        raise IllegalLocus("curve %r not through the vertex" % m)
+    spans = {c: arr.spans[c][arr.nodes[node][c]] for c in bases}
+    negative = {-x for x in (arr.disk[m][p] for p in spans[m]) if x < 0}
     outs = {}
-    for choice in _product((True, False), repeat=len(carriers)):
+    for keep in (True, False):
         disk = dict(arr.disk)
         cross = dict(arr.crosscap)
-        for c, head in zip(carriers, choice):
-            span = arr.spans[c][arr.nodes[node][c]]
-            dspan = [arr.disk[c][p] for p in span]
+        for c in bases:
+            dspan = [arr.disk[c][p] for p in spans[c]]
             if c == m:
-                nd = dspan if head else dspan[::-1]
+                nd = dspan if keep else dspan[::-1]
                 nm = [-x for x in nd]
             else:
                 k = next(t for t, x in enumerate(dspan) if abs(x) == m)
                 mlet = dspan[k]
                 residual = dspan[:k] + dspan[k + 1:]
-                nd = [mlet] + residual if head else residual + [mlet]
                 rev = [-x for x in residual[::-1]]
-                nm = ([-mlet] + rev) if head else (rev + [-mlet])
+                if (c in negative) == keep:
+                    nd, nm = [mlet] + residual, [-mlet] + rev
+                else:
+                    nd, nm = residual + [mlet], rev + [-mlet]
             dw, mw = list(disk[c]), list(cross[c])
-            for p, x, y in zip(span, nd, nm):
+            for p, x, y in zip(spans[c], nd, nm):
                 dw[p], mw[p] = x, y
             disk[c], cross[c] = tuple(dw), tuple(mw)
         try:
@@ -563,16 +572,7 @@ def apply_move(arr, move):
         return validate(disk, cross)
 
     if move.kind == "split":
-        node = move.locus
-        if node not in arr.nodes:
-            raise IllegalLocus("unknown node %r" % (node,))
-        bases = {abs(x) for pair in node for x in pair}
-        if len(bases) < 3:
-            raise IllegalLocus("vertex %r is already simple" % (sorted(node),))
-        m = move.moving
-        if m not in bases:
-            raise IllegalLocus("curve %r not through the vertex" % m)
-        first, second = _split_candidates(arr, node, m)
+        first, second = _split_candidates(arr, move.locus, move.moving)
         return first if move.side != "b" else second
 
     raise IllegalLocus("unknown move kind %r" % move.kind)
@@ -580,8 +580,7 @@ def apply_move(arr, move):
 
 def inverse_split(arr, merged, node, moving):
     """The split of ``merged`` at ``node`` undoing a merge back to ``arr``."""
-    for side in ("a", "b"):
-        out = apply_move(merged, MutationMove("split", node, moving, side))
+    for side, out in zip("ab", _split_candidates(merged, node, moving)):
         if out.key() == arr.key():
             return MutationMove("split", node, moving, side)
     raise IllegalLocus("no split of %r restores the original" % (sorted(node),))
@@ -650,15 +649,14 @@ def moebius_full_census(n, limit=None):
         cx = arr.complex
         marked = cx.face_of[_heavy_lookup(cx, desc)]
         marked_tags = _heavy_descs(cx, marked)
-        marked_nodes = {frozenset(d[1]) for d in marked_tags}
 
-        moves = []
+        steps = []      # (neighbour, nodes the move removes)
         seen_faces = set()
         for t, curve in triangles(arr):
             if t == marked or t in seen_faces:
                 continue
             seen_faces.add(t)
-            moves.append((MutationMove("merge", t, curve),
+            steps.append((apply_move(arr, MutationMove("merge", t, curve)),
                           {frozenset(cx.node_list[cx.flags[f2][0]])
                            for f2 in cx.faces[t]}))
         for node in arr.nodes:
@@ -666,14 +664,12 @@ def moebius_full_census(n, limit=None):
             if len(bases) < 3:
                 continue
             for m in sorted(bases):
-                for side in ("a", "b"):
-                    moves.append((MutationMove("split", node, m, side),
-                                  {node}))
-        for move, dead_nodes in moves:
+                steps += [(out, {node})
+                          for out in _split_candidates(arr, node, m)]
+        for out, dead_nodes in steps:
             survivors = [d for d in marked_tags
                          if frozenset(d[1]) not in dead_nodes]
             assert survivors, "marked cell lost all corners"
-            out = apply_move(arr, move)
             push(out, survivors[0])
 
     tagsets = {}

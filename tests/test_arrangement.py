@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpl import (
     all_c64,
@@ -10,12 +11,17 @@ from dpl import (
     parse_text,
     validate,
 )
+from dpl import words as W
+from dpl.arrangement import _D_ANCHOR, _M_ANCHOR, _decompose, _slot_positions
 from dpl.errors import (
     BadSignPattern,
+    DplError,
+    NoBlockDecomposition,
     SubsetTooSmall,
     UnknownIndex,
     WrongMultiplicity,
 )
+from dpl.mutation import MutationMove, apply_move, triangles
 from dpl.words import SignedPermutation
 
 
@@ -199,3 +205,169 @@ class TestUpsilonNodeCycles:
         assert cyc(1) == min("ABCD"[r:] + "ABCD"[:r] for r in range(4))
         assert cyc(2) == min("ACBD"[r:] + "ACBD"[:r] for r in range(4))
         assert cyc(3) == min("ABDC"[r:] + "ABDC"[:r] for r in range(4))
+
+
+def reference_decompose(S, T_given, max_block, carrier):
+    """The factorization by search: every crosscap rotation, every start
+    of the window within ``max_block`` of position 0, and every partition
+    of the window into reversed blocks of distinct co-indices."""
+    L = len(S)
+    if sorted(S) != sorted(T_given):
+        raise NoBlockDecomposition(
+            "disk and crosscap slots of %d disagree" % carrier, carrier=carrier)
+    solutions = {}
+    for r in range(L):
+        T = tuple(T_given[(p + r) % L] for p in range(L))
+        for back in range(max_block):
+            start = (-back) % L
+            stack = [(0, ())]
+            while stack:
+                pos, spans = stack.pop()
+                if pos == L:
+                    solutions.setdefault(frozenset(spans), r)
+                    continue
+                for length in range(1, min(max_block, L - pos) + 1):
+                    sl = tuple((start + t) % L for t in range(pos, pos + length))
+                    block = [S[p] for p in sl]
+                    if [T[p] for p in sl] != block[::-1]:
+                        continue
+                    if len({abs(W.co_index(pr, carrier))
+                            for pr in block}) != length:
+                        continue
+                    stack.append((pos + length, spans + (sl,)))
+    if not solutions:
+        raise NoBlockDecomposition(
+            "no blockwise-reversed factorization for cycle of %d" % carrier,
+            carrier=carrier)
+    if len(solutions) > 1:
+        raise NoBlockDecomposition(
+            "ambiguous factorization for cycle of %d" % carrier,
+            carrier=carrier, count=len(solutions))
+    spans_set, r = solutions.popitem()
+    return r, tuple(sorted(spans_set, key=lambda span: span[0]))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DplError as exc:
+        return type(exc), str(exc), exc.details
+
+
+def _assert_same_factorization(S, T, max_block, carrier):
+    assert (_outcome(_decompose, S, T, max_block, carrier)
+            == _outcome(reference_decompose, S, T, max_block, carrier))
+
+
+def _slots(arr, i, shift=0):
+    cross = arr.crosscap[i]
+    cross = cross[shift:] + cross[:shift]
+    return (_slot_positions(arr.disk[i], i, _D_ANCHOR),
+            _slot_positions(cross, i, _M_ANCHOR))
+
+
+def _factorization_cases():
+    arrs = [fx.arrangement for fx in catalog.all()]
+    arrs += [all_c64(n) for n in range(3, 8)]
+    for name in catalog.THIRTEEN:
+        arr = catalog.arrangement(name)
+        arrs += [apply_move(arr, MutationMove("merge", t, m))
+                 for t, m in triangles(arr)]
+    return arrs
+
+
+class TestFactorization:
+    def test_matches_search_on_valid_cycles(self):
+        cases = 0
+        for arr in _factorization_cases():
+            for i in arr.indices:
+                L = len(arr.disk[i])
+                for shift in sorted({0, 1, L // 2}):
+                    S, T = _slots(arr, i, shift)
+                    got = _decompose(S, T, arr.n - 1, i)
+                    assert got == reference_decompose(S, T, arr.n - 1, i)
+                    assert shift or got == (0, arr.spans[i])
+                    cases += 1
+        assert cases > 1500
+
+    FIXTURES = [fx.arrangement for fx in catalog.all()] + [all_c64(4)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(FIXTURES), st.data())
+    def test_matches_search_on_corrupted_cycles(self, arr, data):
+        i = data.draw(st.sampled_from(arr.indices))
+        S, T = _slots(arr, i)
+        L = len(S)
+        T = list(T)
+        kind = data.draw(st.sampled_from(
+            ("swap", "rotate", "drop", "drop-crosscap", "swap-disk")))
+        if kind in ("swap", "swap-disk"):
+            target = T if kind == "swap" else list(S)
+            a, b = data.draw(st.lists(st.integers(0, L - 1), min_size=2,
+                                      max_size=2, unique=True))
+            target[a], target[b] = target[b], target[a]
+            if kind == "swap-disk":
+                S = tuple(target)
+        elif kind == "rotate":
+            r = data.draw(st.integers(0, L - 1))
+            T = T[r:] + T[:r]
+        else:
+            co = data.draw(st.sampled_from([j for j in arr.indices if j != i]))
+            T = [pr for pr in T if abs(W.co_index(pr, i)) != co]
+            if kind == "drop":
+                S = tuple(pr for pr in S if abs(W.co_index(pr, i)) != co)
+        _assert_same_factorization(tuple(S), tuple(T), arr.n - 1, i)
+
+    def test_ambiguous_and_empty_cycles(self):
+        a, b, c, d = (W.pair_of(1, 2, 1), W.pair_of(1, 3, 1),
+                      W.pair_of(1, 2, 2), W.pair_of(1, 3, 2))
+        # (b a d c) reverses the blocks ab, cd and, shifted by two, bc, da
+        with pytest.raises(NoBlockDecomposition, match="ambiguous"):
+            _decompose((a, b, c, d), (b, a, d, c), 2, 1)
+        _assert_same_factorization((a, b, c, d), (b, a, d, c), 2, 1)
+        # bc is a reversed block of distinct co-indices, but too long
+        _assert_same_factorization((a, b, c, d), (a, c, b, d), 1, 1)
+        _assert_same_factorization((a, b, c, d), (d, c, b, a), 2, 1)
+        _assert_same_factorization((), (), 2, 1)
+        with pytest.raises(NoBlockDecomposition, match="no blockwise"):
+            validate({1: (), 2: ()}, {1: (), 2: ()})
+
+
+TOKENS = st.one_of(st.integers(-3, 4).map(str),
+                   st.sampled_from(["x", ":", "#", "", "D", "M", "indices:",
+                                    "\n", "1.5", "--1"]))
+FIXTURE_TEXTS = [fx.arrangement.to_text() for fx in catalog.all()]
+
+
+@st.composite
+def arrangement_texts(draw):
+    """Header and cycle lines over a few signed indices; each cycle holds
+    every other index twice with each sign, in any order."""
+    indices = draw(st.lists(st.integers(-2, 4), min_size=1, max_size=4))
+    lines = ["indices: " + " ".join(map(str, indices))]
+    for kind in draw(st.sampled_from(["D", "DM"])):
+        for i in indices:
+            letters = [x for j in indices if j != i for x in (j, j, -j, -j)]
+            word = draw(st.permutations(letters))
+            lines.append("%s %d: %s" % (kind, i, " ".join(map(str, word))))
+    return "\n".join(lines)
+
+
+@st.composite
+def corrupted_fixture_texts(draw):
+    """A catalog file with a few of its tokens replaced."""
+    tokens = draw(st.sampled_from(FIXTURE_TEXTS)).split(" ")
+    for _ in range(draw(st.integers(1, 3))):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(TOKENS)
+    return " ".join(tokens)
+
+
+class TestParseBoundary:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.text(max_size=60), arrangement_texts(),
+                     corrupted_fixture_texts()))
+    def test_parse_text_returns_or_raises_dpl_error(self, text):
+        try:
+            parse_text(text)
+        except DplError:
+            pass

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpl import all_c64, catalog, cyclic_thin
 from dpl.chirotope import (
@@ -13,7 +14,7 @@ from dpl.chirotope import (
     reconstruct,
     relations_from,
 )
-from dpl.errors import NoArrangement, NotTransitive, TooFewIndices
+from dpl.errors import DplError, NoArrangement, NotTransitive, TooFewIndices
 
 
 def all_c04_on_five():
@@ -166,3 +167,54 @@ class TestFileFormat:
         with path.open() as fh:
             chi = parse_chirotope(fh.read())
         assert chi == all_c04_on_five()
+
+
+CHI_TEXTS = [chirotope_text(chirotope_of(catalog.arrangement(name)))
+             for name in ("M1", "M2", "C04")]
+CHI_TOKENS = st.one_of(st.integers(-3, 5).map(str),
+                       st.sampled_from(["x", ":", "|", "=", "(", ")", "",
+                                        "chi", "indices:", "D1=", "M2=",
+                                        "C04(1", "C64(2 -1 3)", "\n"]))
+
+
+@st.composite
+def chirotope_texts(draw):
+    """A header and one entry over small signed indices: a named class
+    with drawn images, or disk (and maybe crosscap) cycles holding every
+    other index twice with each sign."""
+    indices = draw(st.lists(st.integers(-1, 4), min_size=1, max_size=4))
+    head = " ".join(map(str, indices))
+    if draw(st.booleans()):
+        images = draw(st.lists(st.integers(-4, 4), max_size=4))
+        body = "%s(%s)" % (draw(st.sampled_from(catalog.THIRTEEN)),
+                           " ".join(map(str, images)))
+    else:
+        parts = []
+        for kind in draw(st.sampled_from(["D", "DM"])):
+            for i in indices:
+                letters = [x for j in indices if j != i
+                           for x in (j, j, -j, -j)]
+                word = draw(st.permutations(letters))
+                parts.append("%s%d= %s" % (kind, i, " ".join(map(str, word))))
+        body = " | ".join(parts)
+    return "indices: %s\nchi %s: %s\n" % (head, head, body)
+
+
+@st.composite
+def corrupted_chirotope_texts(draw):
+    """A chirotope file with a few of its tokens replaced."""
+    tokens = draw(st.sampled_from(CHI_TEXTS)).split(" ")
+    for _ in range(draw(st.integers(1, 3))):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(CHI_TOKENS)
+    return " ".join(tokens)
+
+
+class TestParseBoundary:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=60), chirotope_texts(),
+                     corrupted_chirotope_texts()))
+    def test_parse_chirotope_returns_or_raises_dpl_error(self, text):
+        try:
+            parse_chirotope(text)
+        except DplError:
+            pass

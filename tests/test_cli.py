@@ -181,6 +181,7 @@ def test_iso_marked_rejects_bad_mark(tmp_path, capsys, mark, want):
 
 @pytest.mark.parametrize("verb, text", [
     ("validate", "indices: 1 x\nD 1: -2 -2 2 2\nD 2: -1 -1 1 1\n"),
+    ("validate", "indices: 2 -2\nD 2:\nD -2: -2 -2 2 2\n"),
     ("check", "indices: 1 2 3\nchi 1 2 3: C04(1 2)\n"),
 ])
 def test_malformed_file_is_a_format_error(tmp_path, capsys, verb, text):

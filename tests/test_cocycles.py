@@ -1,4 +1,5 @@
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpl.cocycles import (
     CocycleLabel,
@@ -8,6 +9,7 @@ from dpl.cocycles import (
     orbit,
     parse_label,
 )
+from dpl.errors import DplError, MalformedWord
 from dpl.words import SignedPermutation
 
 G2 = SignedPermutation.all((1, 2))
@@ -82,3 +84,21 @@ class TestOrbits:
                      "1 . 2 . 3 .", "1 . 3 . -2 .")]
         assert len(set(piercing)) == 4
         assert all(lab in union for lab in piercing)
+
+
+class TestParseBoundary:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(max_size=30),
+        st.lists(st.sampled_from(["1", "-2", "3", ".", "0", "x", ",", " ",
+                                  "1.5", ""]), max_size=10).map(" ".join)))
+    def test_parse_label_returns_or_raises_dpl_error(self, line):
+        try:
+            parse_label(line)
+        except DplError:
+            pass
+
+    @pytest.mark.parametrize("line", ["x", "1 x .", "1, 2.5"])
+    def test_non_integer_letter(self, line):
+        with pytest.raises(MalformedWord):
+            parse_label(line)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -189,3 +191,18 @@ class TestDotExports:
     def test_dual_graph(self):
         out = catalog.arrangement("C04").complex.to_dot("dual")
         assert "3-gon" in out and "4-gon" in out
+
+
+class TestLifetime:
+    def test_arrangement_with_complex_freed_by_refcount(self):
+        """The complex holds no reference back to its arrangement."""
+        arr = all_c64(4)
+        key = arr.complex.canonical_key("indexed_oriented")
+        assert key == repr(arr.key()).encode()
+        ref = weakref.ref(arr)
+        gc.disable()
+        try:
+            del arr
+            assert ref() is None
+        finally:
+            gc.enable()

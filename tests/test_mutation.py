@@ -1,15 +1,17 @@
 import random
+from itertools import product
 
 import pytest
 
 from dpl import all_c64, catalog, cyclic_thin, from_disk_only, validate
-from dpl.errors import IllegalLocus, ResourceLimit
+from dpl.errors import DplError, IllegalLocus, ResourceLimit
 from dpl.mutation import (
     MutationMove,
     SimpleState,
     _census_groups,
     _marked_classes,
     _marked_face,
+    _split_candidates,
     _words_key,
     act_words,
     apply_move,
@@ -213,3 +215,59 @@ class TestOneFlagStructure:
             assert (st.s0, st.s1, st.s2) == (cx.sigma0, cx.sigma1, cx.sigma2)
             assert st.faces == cx.faces and st.face_of == cx.face_of
             assert st.face_sides() == list(cx.face_sides)
+
+
+def reference_releases(arr, node, m):
+    """Keys of the releases of ``m`` off ``node`` by generate-and-test:
+    every head/tail placement of the released crossings on every carrier,
+    kept when it validates, splits the vertex and keeps the genus."""
+    bases = sorted({abs(x) for pair in node for x in pair})
+    carriers = [c for c in bases if c != m] + [m]
+    keys = set()
+    for choice in product((True, False), repeat=len(carriers)):
+        disk, cross = dict(arr.disk), dict(arr.crosscap)
+        for c, head in zip(carriers, choice):
+            span = arr.spans[c][arr.nodes[node][c]]
+            dspan = [arr.disk[c][p] for p in span]
+            if c == m:
+                nd = dspan if head else dspan[::-1]
+                nm = [-x for x in nd]
+            else:
+                k = next(t for t, x in enumerate(dspan) if abs(x) == m)
+                residual = dspan[:k] + dspan[k + 1:]
+                rev = [-x for x in residual[::-1]]
+                nd = [dspan[k]] + residual if head else residual + [dspan[k]]
+                nm = [-dspan[k]] + rev if head else rev + [-dspan[k]]
+            dw, mw = list(disk[c]), list(cross[c])
+            for p, x, y in zip(span, nd, nm):
+                dw[p], mw[p] = x, y
+            disk[c], cross[c] = tuple(dw), tuple(mw)
+        try:
+            out = validate(disk, cross)
+        except DplError:
+            continue
+        if node not in out.nodes and out.genus == arr.genus:
+            keys.add(out.key())
+    return sorted(keys)
+
+
+class TestSplitReleases:
+    def test_two_releases_match_generate_and_test(self):
+        """On the catalog and every merge of it (genus 1, 3 and 7)."""
+        arrs = []
+        for fx in catalog.all():
+            arrs.append(fx.arrangement)
+            arrs += [apply_move(fx.arrangement, MutationMove("merge", t, m))
+                     for t, m in triangles(fx.arrangement)]
+        assert {arr.genus for arr in arrs} == {1, 3, 7}
+        cases = 0
+        for arr in arrs:
+            for node in arr.nodes:
+                bases = sorted({abs(x) for pair in node for x in pair})
+                if len(bases) < 3:
+                    continue
+                for m in bases:
+                    got = [out.key() for out in _split_candidates(arr, node, m)]
+                    assert got == reference_releases(arr, node, m)
+                    cases += 1
+        assert cases == 678
