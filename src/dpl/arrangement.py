@@ -71,6 +71,21 @@ def _slot_positions(word, carrier, anchor):
     return tuple(pairs)
 
 
+def _require_every_co(word, carrier, indices):
+    """Raise unless every co-index occurs in a side cycle.
+
+    Called after :func:`_slot_positions` accepted ``word``: each letter
+    present is then a co-index occurring four times, so the cycle holds
+    every co-index exactly when its length is four per co-index.
+    """
+    if len(word) != 4 * (len(indices) - 1):
+        co = min(set(indices) - {carrier} - {abs(x) for x in word})
+        raise WrongMultiplicity(
+            "index %d occurs 0 times in cycle of %d" % (co, carrier),
+            carrier=carrier, co=co,
+        )
+
+
 def _decompose(S, T_given, max_block, carrier):
     """Align the crosscap slots with the disk slots and find the factors.
 
@@ -365,7 +380,9 @@ def validate(disk, crosscap):
     S, T, spans, aligned = {}, {}, {}, {}
     for i in indices:
         S[i] = _slot_positions(disk[i], i, _D_ANCHOR)
+        _require_every_co(disk[i], i, indices)
         t_raw = _slot_positions(crosscap[i], i, _M_ANCHOR)
+        _require_every_co(crosscap[i], i, indices)
         r, sp = _decompose(S[i], t_raw, max_block, i)
         spans[i] = sp
         aligned[i] = _rot(crosscap[i], r)

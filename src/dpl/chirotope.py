@@ -114,9 +114,15 @@ def entry_name(arr):
 
 
 class Chirotope:
-    """Map from 3-subsets to canonicalized triple families."""
+    """Map from 3-subsets to canonicalized triple families.
+
+    A chirotope is not changed after construction.  It shares with its
+    restrictions one store of :func:`extensions4` results per 4-subset,
+    so the 4-subsets common to several 5-subsets are extended once.
+    """
 
     def __init__(self, entries):
+        self._extensions = {}
         self.entries = {}
         indices = set()
         for J, fam in entries.items():
@@ -146,8 +152,20 @@ class Chirotope:
 
     def restriction(self, J):
         J = frozenset(J)
-        return Chirotope({T: self.entries[T]
-                          for T in self.entries if T <= J})
+        sub = Chirotope({T: self.entries[T]
+                         for T in self.entries if T <= J})
+        sub._extensions = self._extensions
+        return sub
+
+    def _extensions_on(self, J, genus_one):
+        """:func:`extensions4` of the restriction to the 4-subset ``J``,
+        computed once for this chirotope and its restrictions; an empty or
+        ambiguous result is kept as well."""
+        key = (frozenset(J), genus_one)
+        if key not in self._extensions:
+            self._extensions[key] = extensions4(self.restriction(J),
+                                                genus_one=genus_one)
+        return self._extensions[key]
 
     def is_simple(self):
         return all(self.entry_arrangement(J).is_simple()
@@ -186,28 +204,67 @@ def _merge_words(base, insert, want_pairs):
     (cyclic) as subsequences, with every base-pair subword as required.
 
     ``want_pairs`` maps a frozenset of bases to the required cyclic word.
+    Returns the sorted least rotations of the words.
+
+    The words are built letter by letter over the interleavings of
+    ``base`` with each rotation of ``insert``.  For every pair the walk
+    keeps the rotations of the wanted word that agree with the pair's
+    subword so far, as a bit mask of the position each one expects next,
+    and drops a branch as soon as a mask empties.  A pair's subword has
+    the same length in every interleaving, so once that length is checked
+    to be the wanted one, each complete word has every pair subword equal
+    to a full rotation of the wanted word.
     """
+    if not insert:
+        return []
+    steps = {x: () for x in set(base) | set(insert)}
+    start = []
+    for t, (bases, want) in enumerate(want_pairs.items()):
+        if sum(abs(x) in bases for x in base + insert) != len(want):
+            return []
+        full = (1 << len(want)) - 1
+        for x in steps:
+            if abs(x) in bases:
+                hits = sum(1 << j for j, y in enumerate(want) if y == x)
+                steps[x] += ((t, hits, len(want) - 1, full),)
+        start.append(full)
+    start = tuple(start)
     nb, ni = len(base), len(insert)
-    total = nb + ni
     out = set()
-    for rot in range(ni):
-        ins = insert[rot:] + insert[:rot]
-        for slots in combinations(range(total), ni):
-            word = [None] * total
-            it = iter(ins)
-            sl = set(slots)
-            bi = iter(base)
-            for p in range(total):
-                word[p] = next(it) if p in sl else next(bi)
-            ok = True
-            for bases, want in want_pairs.items():
-                sub = tuple(x for x in word if abs(x) in bases)
-                if not W.cyclic_eq(sub, want):
-                    ok = False
-                    break
-            if ok:
-                out.add(W.min_rotation(tuple(word)))
+    for ins in set(W.rotations(insert)):
+        stack = [(0, 0, start, ())]
+        while stack:
+            bi, ii, masks, word = stack.pop()
+            if bi == nb and ii == ni:
+                out.add(W.min_rotation(word))
+                continue
+            if bi < nb:
+                nxt = _advance(masks, steps[base[bi]])
+                if nxt is not None:
+                    stack.append((bi + 1, ii, nxt, word + (base[bi],)))
+            if ii < ni:
+                nxt = _advance(masks, steps[ins[ii]])
+                if nxt is not None:
+                    stack.append((bi, ii + 1, nxt, word + (ins[ii],)))
     return sorted(out)
+
+
+def _advance(masks, step):
+    """The pair masks after one more letter, or None when some pair has
+    no rotation of its wanted word left.
+
+    ``step`` lists, for each pair holding the letter, the pair's slot, the
+    positions of the letter in the wanted word, the top position and the
+    full mask; a rotation that matches moves on to expect the next
+    position, cyclically.
+    """
+    masks = list(masks)
+    for t, hits, top, full in step:
+        m = masks[t] & hits
+        if not m:
+            return None
+        masks[t] = ((m << 1) | (m >> top)) & full
+    return tuple(masks)
 
 
 def _carrier_candidates(chi, i, others, kind):
@@ -293,7 +350,7 @@ def relations_from(chi, genus_one=True):
     """
     ext4 = {}
     for J in combinations(chi.indices, 4):
-        sols = extensions4(chi.restriction(J), genus_one=genus_one)
+        sols = chi._extensions_on(J, genus_one)
         if not sols:
             raise NoArrangement("no extension on %r" % (J,), subset=J)
         if len(sols) > 1:

@@ -44,6 +44,35 @@ class TestValidate:
                             2: (-1, -1, 1, 1),
                             3: (-1, -1, 1, 1)})
 
+    def test_missing_co_index(self):
+        c64 = catalog.arrangement("C64")
+        disk = dict(c64.disk)
+        disk[1] = tuple(x for x in disk[1] if abs(x) != 3)
+        empty = {1: (), 2: ()}
+        for args, co in (((disk, c64.crosscap), 3), ((empty, empty), 2)):
+            with pytest.raises(WrongMultiplicity, match="0 times") as exc:
+                validate(*args)
+            assert exc.value.details == {"carrier": 1, "co": co}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([fx.arrangement for fx in catalog.all()]),
+           st.data())
+    def test_removed_or_doubled_co_index(self, arr, data):
+        i = data.draw(st.sampled_from(arr.indices))
+        co = data.draw(st.sampled_from([j for j in arr.indices if j != i]))
+        side = data.draw(st.sampled_from(("disk", "crosscap")))
+        family = {"disk": dict(arr.disk), "crosscap": dict(arr.crosscap)}
+        word = family[side][i]
+        if data.draw(st.booleans()):
+            word = tuple(x for x in word if abs(x) != co)
+        else:
+            word = tuple(y for x in word
+                         for y in ((x, x) if abs(x) == co else (x,)))
+        family[side][i] = word
+        with pytest.raises(WrongMultiplicity) as exc:
+            validate(**family)
+        assert exc.value.details == {"carrier": i, "co": co}
+
     def test_bad_sign_pattern(self):
         with pytest.raises(BadSignPattern):
             from_disk_only({1: (2, -2, 2, -2), 2: (-1, -1, 1, 1)})
@@ -330,7 +359,7 @@ class TestFactorization:
         _assert_same_factorization((a, b, c, d), (d, c, b, a), 2, 1)
         _assert_same_factorization((), (), 2, 1)
         with pytest.raises(NoBlockDecomposition, match="no blockwise"):
-            validate({1: (), 2: ()}, {1: (), 2: ()})
+            _decompose((a, b, c, d), (a, c, b, d), 1, 1)
 
 
 TOKENS = st.one_of(st.integers(-3, 4).map(str),

@@ -1,9 +1,16 @@
+import functools
+import random
+from importlib import resources
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpl import all_c64, catalog, cyclic_thin
+from dpl import all_c64, catalog, chirotope, cyclic_thin
+from dpl import words as W
 from dpl.chirotope import (
     Chirotope,
+    _merge_words,
     chirotope_of,
     chirotope_text,
     class_version,
@@ -15,6 +22,7 @@ from dpl.chirotope import (
     relations_from,
 )
 from dpl.errors import DplError, NoArrangement, NotTransitive, TooFewIndices
+from dpl.mutation import MutationMove, apply_move, triangles
 
 
 def all_c04_on_five():
@@ -28,6 +36,68 @@ def all_c04_on_five():
         entries[frozenset(J)] = {i: (arr.disk[i], arr.crosscap[i])
                                  for i in arr.indices}
     return Chirotope(entries)
+
+
+def all_c04_file():
+    path = resources.files("dpl").joinpath("catalog_data", "allC04_n5.chi")
+    with path.open() as fh:
+        return parse_chirotope(fh.read())
+
+
+def reference_merge_words(base, insert, want_pairs):
+    """The merge by generate and test: every rotation of ``insert`` at
+    every placement among the letters of ``base``, kept when each pair
+    subword is a rotation of its wanted word."""
+    nb, ni = len(base), len(insert)
+    total = nb + ni
+    out = set()
+    for rot in range(ni):
+        ins = insert[rot:] + insert[:rot]
+        for slots in combinations(range(total), ni):
+            word = [None] * total
+            it = iter(ins)
+            sl = set(slots)
+            bi = iter(base)
+            for p in range(total):
+                word[p] = next(it) if p in sl else next(bi)
+            ok = True
+            for bases, want in want_pairs.items():
+                sub = tuple(x for x in word if abs(x) in bases)
+                if not W.cyclic_eq(sub, want):
+                    ok = False
+                    break
+            if ok:
+                out.add(W.min_rotation(tuple(word)))
+    return sorted(out)
+
+
+@functools.cache
+def carrier_calls():
+    """The distinct ``_merge_words`` calls, disk and crosscap, that
+    extensions4 makes on the 4-subsets of the chirotopes of cyclic_thin(4),
+    cyclic_thin(5), M1, M2, M1star and all_c64(5), and of allC04_n5.chi."""
+    chis = [chirotope_of(arr) for arr in
+            (cyclic_thin(4), cyclic_thin(5), catalog.arrangement("M1"),
+             catalog.arrangement("M2"), catalog.arrangement("M1star"),
+             all_c64(5))]
+    chis.append(all_c04_file())
+    calls = {}
+    merge = chirotope._merge_words
+
+    def record(base, insert, want_pairs):
+        key = (base, insert, sorted((sorted(bases), want)
+                                    for bases, want in want_pairs.items()))
+        calls.setdefault(repr(key), (base, insert, want_pairs))
+        return merge(base, insert, want_pairs)
+
+    chirotope._merge_words = record
+    try:
+        for chi in chis:
+            for J in combinations(chi.indices, 4):
+                extensions4(chi.restriction(J), genus_one=False)
+    finally:
+        chirotope._merge_words = merge
+    return list(calls.values())
 
 
 class TestEntries:
@@ -146,6 +216,76 @@ class TestAxiomCheck:
         chi = chirotope_of(cyclic_thin(4))
         assert len(extensions4(chi)) == 1
 
+    def test_one_extension_per_four_subset(self, monkeypatch):
+        extended = []
+        plain = chirotope.extensions4
+
+        def counted(chi, genus_one=True):
+            extended.append(chi.indices)
+            return plain(chi, genus_one=genus_one)
+
+        monkeypatch.setattr(chirotope, "extensions4", counted)
+        assert is_k_chirotope(chirotope_of(cyclic_thin(6)), 5)
+        assert sorted(extended) == list(combinations(range(1, 7), 4))
+
+    def test_flip_walk_states(self):
+        # the main theorem beyond cyclic_thin, M1 and M2: seeded flip walks
+        # from cyclic_thin(n), checked every third flip
+        rng = random.Random(5)
+        for n in (5, 6):
+            arr = cyclic_thin(n)
+            for step in range(1, 7):
+                arr = apply_move(arr, MutationMove(
+                    "flip", *rng.choice(triangles(arr))))
+                if step % 3 == 0:
+                    chi = chirotope_of(arr)
+                    assert chi != chirotope_of(cyclic_thin(n))
+                    assert reconstruct(chi).key() == arr.key(), (n, step)
+                    assert is_k_chirotope(chi, 5), (n, step)
+
+
+class TestMergeWords:
+    def test_matches_generate_and_test_on_carrier_calls(self):
+        sizes = set()
+        for base, insert, want in carrier_calls():
+            got = _merge_words(base, insert, want)
+            assert got == reference_merge_words(base, insert, want), \
+                (base, insert, want)
+            sizes.add(len(got))
+        assert sizes == {1, 2}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_generate_and_test_on_corrupted_pairs(self, data):
+        base, insert, want = data.draw(st.sampled_from(carrier_calls()))
+        bases = data.draw(st.sampled_from(sorted(want, key=sorted)))
+        word = list(want[bases])
+        at = data.draw(st.integers(0, len(word) - 1))
+        kind = data.draw(st.sampled_from(("swap", "flip", "drop")))
+        if kind == "swap":
+            other = data.draw(st.integers(0, len(word) - 1))
+            word[at], word[other] = word[other], word[at]
+        elif kind == "flip":
+            word[at] = -word[at]
+        else:
+            del word[at]
+        want = {**want, bases: tuple(word)}
+        assert (_merge_words(base, insert, want)
+                == reference_merge_words(base, insert, want))
+
+    def test_empty_merges(self):
+        base = (-2, -2, -1, 1, 2, 2, 1, -1)
+        insert = (-4, -4, 4, 4)
+        # one letter dropped from the (1, 4) word: its subword is one letter
+        # longer, and read cyclically the shorter word still matches it
+        want = {frozenset((1, 2)): base,
+                frozenset((1, 4)): (-4, -1, 1, 4, 4, 1, -1),
+                frozenset((2, 4)): (-4, -4, -2, -2, 4, 4, 2, 2)}
+        flipped = {**want, frozenset((1, 4)): (-4, -4, -1, 1, 4, 4, 1, 1)}
+        for args in ((base, insert, want), (base, insert, flipped),
+                     (base, (), want)):
+            assert _merge_words(*args) == reference_merge_words(*args) == []
+
 
 class TestFileFormat:
     def test_round_trip_named(self):
@@ -161,12 +301,7 @@ class TestFileFormat:
         assert parse_chirotope(text) == chi
 
     def test_all_c04_fixture_file(self):
-        from importlib import resources
-        path = resources.files("dpl").joinpath("catalog_data",
-                                               "allC04_n5.chi")
-        with path.open() as fh:
-            chi = parse_chirotope(fh.read())
-        assert chi == all_c04_on_five()
+        assert all_c04_file() == all_c04_on_five()
 
 
 CHI_TEXTS = [chirotope_text(chirotope_of(catalog.arrangement(name)))

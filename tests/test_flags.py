@@ -111,10 +111,13 @@ class TestAutomorphisms:
 
     def test_flag_graph_automorphisms_agree(self):
         # poset automorphisms = stabilizer in the signed group
-        for name in ("TwoCurve", "C04", "C22", "C15"):
-            arr = catalog.arrangement(name)
+        cases = [fx.arrangement for fx in catalog.all()]
+        cases += [cyclic_thin(n) for n in range(2, 7)]
+        cases += [all_c64(n) for n in range(3, 7)]
+        assert len(cases) == 31
+        for arr in cases:
             assert (arr.complex.flag_graph_automorphism_order()
-                    == automorphism_order(arr)), name
+                    == automorphism_order(arr)), arr
 
     def test_martagon_stabilizers_contain_published_generators(self):
         M1 = catalog.arrangement("M1")
