@@ -205,13 +205,6 @@ class Arrangement:
         """Prime factors of the slotted disk cycle of ``i``."""
         return tuple(tuple(self.S[i][p] for p in span) for span in self.spans[i])
 
-    def block_of_pair(self, pair, carrier):
-        for span in self.spans[carrier]:
-            block = tuple(self.S[carrier][p] for p in span)
-            if pair in block:
-                return block
-        raise UnknownIndex("pair %r not on curve %d" % (pair, carrier))
-
     # -- flag complex and everything it derives ------------------------
 
     @property
@@ -233,9 +226,6 @@ class Arrangement:
 
     def is_simple(self):
         return all(len(span) == 1 for s in self.spans.values() for span in s)
-
-    def is_genus_one(self):
-        return self.genus == 1
 
     def is_thin(self):
         """No vertex lies in the crosscap side of any curve."""
@@ -279,17 +269,14 @@ class Arrangement:
             cross[k] = tuple(inv(x) for x in c)
         return validate(disk, cross)
 
-    def mirror(self):
-        """Every side cycle read backwards.
-
-        An involution on valid families, but not a homeomorphism of the
-        underlying surface: the genus generally changes.  Reflections of
-        the ambient surface act trivially on side-cycle data (crosscap
-        censuses realize the strip reflection through odd reorientations
-        instead; see dpl.mutation).
-        """
-        return validate({i: w[::-1] for i, w in self.disk.items()},
-                        {i: w[::-1] for i, w in self.crosscap.items()})
+    def acted_key(self, sigma):
+        """``self.act(sigma).key()`` without validating the acted families."""
+        idx = self.indices
+        return (idx,
+                tuple(W.min_rotation(w) for w in act_words(
+                    sigma, idx, tuple(self.disk[i] for i in idx))),
+                tuple(W.min_rotation(w) for w in act_words(
+                    sigma, idx, tuple(self.crosscap[i] for i in idx))))
 
     def restriction(self, J):
         J = frozenset(J)
@@ -352,6 +339,19 @@ def family_key(indices, disk, crosscap):
     return (indices,
             tuple(W.min_rotation(disk[i]) for i in indices),
             tuple(W.min_rotation(crosscap[i]) for i in indices))
+
+
+def act_words(sigma, indices, words):
+    """Word-family transform under a signed permutation (no validation)."""
+    inv = sigma.inverse()
+    out = []
+    for k in indices:
+        m = sigma(k)
+        w = words[indices.index(abs(m))]
+        if m < 0:
+            w = w[::-1]
+        out.append(tuple(inv(x) for x in w))
+    return tuple(out)
 
 
 def validate(disk, crosscap):
@@ -518,11 +518,6 @@ def parse_text(text):
 def load(path):
     with open(path) as fh:
         return parse_text(fh.read())
-
-
-def dump(arr, path, name=None):
-    with open(path, "w") as fh:
-        fh.write(arr.to_text(name=name))
 
 
 def to_json_text(arr, name=None):

@@ -118,11 +118,14 @@ class Chirotope:
 
     A chirotope is not changed after construction.  It shares with its
     restrictions one store of :func:`extensions4` results per 4-subset,
-    so the 4-subsets common to several 5-subsets are extended once.
+    so the 4-subsets common to several 5-subsets are extended once, and
+    one store of validated triple arrangements, so each entry is
+    validated once.
     """
 
     def __init__(self, entries):
         self._extensions = {}
+        self._triples = {}
         self.entries = {}
         indices = set()
         for J, fam in entries.items():
@@ -143,9 +146,12 @@ class Chirotope:
         return self.entries[frozenset(J)]
 
     def entry_arrangement(self, J):
-        fam = self.entry(J)
-        return validate({i: dm[0] for i, dm in fam.items()},
-                        {i: dm[1] for i, dm in fam.items()})
+        J = frozenset(J)
+        if J not in self._triples:
+            fam = self.entries[J]
+            self._triples[J] = validate({i: dm[0] for i, dm in fam.items()},
+                                        {i: dm[1] for i, dm in fam.items()})
+        return self._triples[J]
 
     def entry_label(self, J):
         return entry_name(self.entry_arrangement(J))
@@ -155,6 +161,7 @@ class Chirotope:
         sub = Chirotope({T: self.entries[T]
                          for T in self.entries if T <= J})
         sub._extensions = self._extensions
+        sub._triples = self._triples
         return sub
 
     def _extensions_on(self, J, genus_one):

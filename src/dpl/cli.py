@@ -127,10 +127,10 @@ def cmd_iso(args):
                      else list(_perms(a.indices)))
             signs = ([tuple(1 for _ in a.indices)] if args.oriented
                      else list(_product((1, -1), repeat=len(a.indices))))
+            kb = b.key()
             verdict = any(
-                a.act(SignedPermutation(dict(zip(a.indices,
-                                                 (s * p for p, s in zip(pp, sg)))))
-                      ).key() == b.key()
+                a.acted_key(SignedPermutation(dict(zip(
+                    a.indices, (s * p for p, s in zip(pp, sg)))))) == kb
                 for pp in perms for sg in signs)
             mode = "indexed" if args.indexed else "oriented"
     else:

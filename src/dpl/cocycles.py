@@ -87,11 +87,6 @@ def _overline_reverse_parts(parts):
     return out
 
 
-def normalize(parts):
-    """Label from raw parts; see the module docstring for the format."""
-    return CocycleLabel(parts)
-
-
 def act(sigma, label):
     return label.act(sigma)
 

@@ -200,7 +200,7 @@ class FlagComplex:
         self._face_sides = None
         self._vertex_sides = None
         self._plain_key = None
-        self._aut = None
+        self._aut_starts = None
 
     # -- involutions ----------------------------------------------------
 
@@ -360,24 +360,64 @@ class FlagComplex:
     def _plain(self):
         if self._plain_key is None:
             best = None
-            count = 0
             for start in range(len(self.flags)):
                 enc = self._encode_from(start, best)
                 if enc is None:
                     continue
                 if best is None or enc < best:
                     best = enc
-                    count = 1
+                    self._aut_starts = [start]
                 elif enc == best:
-                    count += 1
+                    self._aut_starts.append(start)
             self._plain_key = repr(best).encode()
-            self._aut = count
         return self._plain_key
 
     def flag_graph_automorphism_order(self):
         """Order of the automorphism group of the edge-colored flag graph."""
         self._plain()
-        return self._aut
+        return len(self._aut_starts)
+
+    def flag_graph_automorphisms(self):
+        """Every automorphism of the edge-colored flag graph, as a list
+        of flag images.
+
+        The start flags that attain the plain canonical key are the images
+        of the first of them under the automorphisms (B. D. McKay,
+        "Practical graph isomorphism", 1981).  The graph is connected and
+        each color is an involution, so an automorphism follows from the
+        image of one flag: it commutes with the three sigmas.
+        """
+        self._plain()
+        sigmas = (self.sigma0, self.sigma1, self.sigma2)
+        first = self._aut_starts[0]
+        out = []
+        for start in self._aut_starts:
+            phi = [-1] * len(self.flags)
+            phi[first] = start
+            todo = [first]
+            while todo:
+                f = todo.pop()
+                for sig in sigmas:
+                    g = sig[f]
+                    if phi[g] < 0:
+                        phi[g] = sig[phi[f]]
+                        todo.append(g)
+            out.append(phi)
+        return out
+
+    def curve_map(self, phi):
+        """The signed permutation that the flag map ``phi`` induces on the
+        curves, read off one flag per curve: if the disk-side flag leaving
+        position 0 of curve ``i`` goes to curve ``j`` with orientation
+        ``eps``, then ``i`` maps to ``eps * j``.  None if that flag goes to
+        the crosscap side."""
+        images = {}
+        for i in self.indices:
+            _, eps, j, side = self.flags[phi[flag_id(self.start, i, 0, 1, -1)]]
+            if side != -1:
+                return None
+            images[i] = eps * j
+        return W.SignedPermutation(images)
 
     # -- exports ------------------------------------------------------------
 
@@ -417,32 +457,20 @@ class FlagComplex:
 
 
 def stabilizer(arr):
-    """Signed permutations fixing the indexed-oriented class of ``arr``."""
-    indices = arr.indices
-    dwords = tuple(arr.disk[i] for i in indices)
-    mwords = tuple(arr.crosscap[i] for i in indices)
+    """Signed permutations fixing the indexed-oriented class of ``arr``,
+    in the order of :meth:`dpl.words.SignedPermutation.all`.
 
-    def key(ws):
-        return tuple(W.min_rotation(w) for w in ws)
-
-    dkey, mkey = key(dwords), key(mwords)
-    out = []
-    for s in W.SignedPermutation.all(indices):
-        inv = s.inverse()
-        ok = True
-        for k, i in enumerate(indices):
-            m = s(i)
-            d = dwords[indices.index(abs(m))]
-            c = mwords[indices.index(abs(m))]
-            if m < 0:
-                d, c = d[::-1], c[::-1]
-            if (W.min_rotation(tuple(inv(x) for x in d)) != dkey[k]
-                    or W.min_rotation(tuple(inv(x) for x in c)) != mkey[k]):
-                ok = False
-                break
-        if ok:
-            out.append(s)
-    return out
+    Each one moves the flags as an automorphism of the flag graph that
+    keeps every flag on its side, so the candidates are the curve maps of
+    those automorphisms; every candidate must then fix the key of ``arr``.
+    """
+    cx = arr.complex
+    key = arr.key()
+    cands = {cx.curve_map(phi) for phi in cx.flag_graph_automorphisms()}
+    cands.discard(None)
+    return sorted((s for s in cands if arr.acted_key(s) == key),
+                  key=lambda s: ([abs(m) for m in s.one_line()],
+                                 [m < 0 for m in s.one_line()]))
 
 
 def automorphism_order(arr):

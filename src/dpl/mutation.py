@@ -20,6 +20,7 @@ from . import words as W
 from .arrangement import (
     _D_ANCHOR,
     _slot_positions,
+    act_words,
     cyclic_thin,
     from_disk_only,
     validate,
@@ -134,19 +135,6 @@ def _swap_words(indices, words, swaps):
 
 def _words_key(words):
     return tuple(W.min_rotation(w) for w in words)
-
-
-def act_words(sigma, indices, words):
-    """Word-family transform under a signed permutation (no validation)."""
-    inv = sigma.inverse()
-    out = []
-    for k in indices:
-        m = sigma(k)
-        w = words[indices.index(abs(m))]
-        if m < 0:
-            w = w[::-1]
-        out.append(tuple(inv(x) for x in w))
-    return tuple(out)
 
 
 def transport_descriptor(sigma, desc):
@@ -407,7 +395,7 @@ def moebius_census(n, simple_only=True, limit=None, progress=None):
     g = _census_groups(indices)
     states = set(heavy)
     underlying = {arr.key(): arr for arr, _ in heavy.values()}
-    d = {min(_acted_key(s, arr) for s in g["full"])
+    d = {min(arr.acted_key(s) for s in g["full"])
          for arr in underlying.values()}
     return {"n": n,
             "a": _heavy_classes(heavy, states, g["evens"], g["odd_pure"]),
@@ -686,22 +674,13 @@ def _heavy_classes(heavy, subset, group, odd_pure):
         arr, tags = heavy[key]
         wk = arr.key()
         for sigma in group + odd_pure:
-            ak = _acted_key(sigma, arr)
+            ak = arr.acted_key(sigma)
             if sigma in odd_pure and ak != wk:
                 continue
             nk = (ak, min(transport_heavy_descriptor(sigma, d) for d in tags))
             if nk in subset:
                 uf.union(key, nk)
     return uf.count()
-
-
-def _acted_key(sigma, arr):
-    """``arr.act(sigma).key()`` without validating the acted families."""
-    idx = arr.indices
-    return (idx,
-            _words_key(act_words(sigma, idx, tuple(arr.disk[i] for i in idx))),
-            _words_key(act_words(sigma, idx,
-                                 tuple(arr.crosscap[i] for i in idx))))
 
 
 def moebius_chirotope_counts(n, limit=None):

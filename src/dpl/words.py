@@ -193,10 +193,6 @@ class SignedPermutation:
         return cls({i: i for i in bases})
 
     @classmethod
-    def from_one_line(cls, bases, images):
-        return cls(dict(zip(bases, images)))
-
-    @classmethod
     def all(cls, bases):
         """All n! * 2^n signed permutations of the given positive bases."""
         bases = tuple(bases)
@@ -235,11 +231,6 @@ class SignedPermutation:
 
     def one_line(self):
         return tuple(self.images[k] for k in sorted(self.images))
-
-
-def act_word(sigma, word):
-    """Relabel the letters of a word by a signed permutation."""
-    return tuple(sigma(x) for x in word)
 
 
 def act_pair(sigma, pair):

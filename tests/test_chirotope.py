@@ -228,6 +228,20 @@ class TestAxiomCheck:
         assert is_k_chirotope(chirotope_of(cyclic_thin(6)), 5)
         assert sorted(extended) == list(combinations(range(1, 7), 4))
 
+    def test_one_validation_per_triple(self, monkeypatch):
+        validated = []
+        plain = chirotope.validate
+
+        def counted(disk, crosscap):
+            if len(disk) == 3:
+                validated.append(tuple(sorted(disk)))
+            return plain(disk, crosscap)
+
+        chi = chirotope_of(cyclic_thin(7))
+        monkeypatch.setattr(chirotope, "validate", counted)
+        assert is_k_chirotope(chi, 5)
+        assert sorted(validated) == list(combinations(range(1, 8), 3))
+
     def test_flip_walk_states(self):
         # the main theorem beyond cyclic_thin, M1 and M2: seeded flip walks
         # from cyclic_thin(n), checked every third flip

@@ -1,8 +1,13 @@
 import json
+import random
+from itertools import permutations, product
 
 import pytest
 
+from dpl import all_c64, cyclic_thin
 from dpl.cli import main
+from dpl.mutation import MutationMove, apply_move, triangles
+from dpl.words import SignedPermutation
 
 
 def run(capsys, *argv):
@@ -32,6 +37,43 @@ def test_stats(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["aut_order"] == 24 and data["orbit_count"] == 2
+
+
+def test_stats_all_c64_nine(tmp_path, capsys):
+    path = tmp_path / "c64_9.dpl"
+    path.write_text(all_c64(9).to_text())
+    code, out = run(capsys, "stats", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["aut_order"] == 18 and data["orbit_count"] == 10321920
+
+
+def test_iso_indexed_and_oriented_match_act_oracle(tmp_path, capsys):
+    """Verdicts of --indexed (signs only) and --oriented (permutations
+    only) equal those of validating every acted arrangement."""
+    rng = random.Random(3)
+    a = cyclic_thin(5)
+    for _ in range(10):
+        a = apply_move(a, MutationMove("flip", *rng.choice(triangles(a))))
+    modes = {
+        "--indexed": [SignedPermutation(dict(zip(a.indices, (
+            s * i for s, i in zip(signs, a.indices)))))
+            for signs in product((1, -1), repeat=5)],
+        "--oriented": [SignedPermutation(dict(zip(a.indices, perm)))
+                       for perm in permutations(a.indices)],
+    }
+    negative = a.act(SignedPermutation({1: -2, 2: 1, 3: 3, 4: 4, 5: 5}))
+    pa = tmp_path / "a.dpl"
+    pa.write_text(a.to_text())
+    for flag, group in modes.items():
+        positive = a.act(group[-1])
+        for b, want in ((positive, True), (negative, False)):
+            assert any(a.act(s).key() == b.key() for s in group) == want
+            pb = tmp_path / "b.dpl"
+            pb.write_text(b.to_text())
+            code, out = run(capsys, "iso", str(pa), str(pb), flag)
+            assert code == (0 if want else 1), flag
+            assert json.loads(out)["isomorphic"] == want, flag
 
 
 def test_iso_modes(tmp_path, capsys):

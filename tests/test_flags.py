@@ -7,7 +7,8 @@ import pytest
 from dpl import all_c64, catalog, cyclic_thin
 from dpl.errors import GenusNotOne
 from dpl.flags import automorphism_order, orbit_count, stabilizer
-from dpl.words import SignedPermutation, pair_of
+from dpl.mutation import MutationMove, apply_move, triangles
+from dpl.words import SignedPermutation, min_rotation, pair_of
 
 # the sixteen rows of the two-curve sigma_1 table:
 # (slot, orientation, side) -> (slot', orientation', side'), support switches
@@ -21,6 +22,37 @@ SIGMA1_TABLE = {
     (3, -1, 1): (2, -1, -1),  (3, 1, 1): (2, -1, 1),
     (4, -1, 1): (4, -1, 1),   (4, 1, 1): (4, -1, -1),
 }
+
+
+def reference_stabilizer(arr):
+    """The brute force that ``stabilizer`` replaced: every signed
+    permutation, kept when the min-rotations of the acted disk and
+    crosscap words equal those of ``arr``."""
+    indices = arr.indices
+    dwords = tuple(arr.disk[i] for i in indices)
+    mwords = tuple(arr.crosscap[i] for i in indices)
+
+    def key(ws):
+        return tuple(min_rotation(w) for w in ws)
+
+    dkey, mkey = key(dwords), key(mwords)
+    out = []
+    for s in SignedPermutation.all(indices):
+        inv = s.inverse()
+        ok = True
+        for k, i in enumerate(indices):
+            m = s(i)
+            d = dwords[indices.index(abs(m))]
+            c = mwords[indices.index(abs(m))]
+            if m < 0:
+                d, c = d[::-1], c[::-1]
+            if (min_rotation(tuple(inv(x) for x in d)) != dkey[k]
+                    or min_rotation(tuple(inv(x) for x in c)) != mkey[k]):
+                ok = False
+                break
+        if ok:
+            out.append(s)
+    return out
 
 
 class TestSigmaOneBaseCase:
@@ -110,14 +142,69 @@ class TestAutomorphisms:
             assert orbit_count(fx.arrangement) == fx.expected["orbit_count"], fx.name
 
     def test_flag_graph_automorphisms_agree(self):
-        # poset automorphisms = stabilizer in the signed group
+        # poset automorphisms = stabilizer in the signed group; the
+        # stabilizer is read off the flag graph, so both are compared with
+        # the brute force over the whole signed group
         cases = [fx.arrangement for fx in catalog.all()]
         cases += [cyclic_thin(n) for n in range(2, 7)]
         cases += [all_c64(n) for n in range(3, 7)]
         assert len(cases) == 31
         for arr in cases:
-            assert (arr.complex.flag_graph_automorphism_order()
-                    == automorphism_order(arr)), arr
+            stab = reference_stabilizer(arr)
+            assert stabilizer(arr) == stab, arr
+            assert arr.complex.flag_graph_automorphism_order() == len(stab), arr
+
+    def test_relabeled_flip_walk_states_match_reference(self):
+        rng = random.Random(11)
+        orders = set()
+        for n, states in ((3, 4), (4, 4), (5, 4), (6, 1)):
+            arr = cyclic_thin(n)
+            for _ in range(states):
+                for _ in range(n):
+                    arr = apply_move(arr, MutationMove(
+                        "flip", *rng.choice(triangles(arr))))
+                acted = arr.act(rng.choice(SignedPermutation.all(arr.indices)))
+                stab = stabilizer(acted)
+                assert stab == reference_stabilizer(acted), (n, acted)
+                orders.add(len(stab))
+        assert orders == {1, 2, 4, 6}
+
+    def test_merged_arrangements_match_reference(self):
+        """Every merge of a catalog fixture, under a seeded relabeling."""
+        rng = random.Random(11)
+        merged = {}
+        for fx in catalog.all():
+            for t, m in triangles(fx.arrangement):
+                arr = apply_move(fx.arrangement, MutationMove("merge", t, m))
+                merged.setdefault(arr.key(), arr)
+        assert len(merged) == 62
+        orders = set()
+        for arr in merged.values():
+            assert not arr.is_simple()
+            acted = arr.act(rng.choice(SignedPermutation.all(arr.indices)))
+            stab = stabilizer(acted)
+            assert stab == reference_stabilizer(acted), acted
+            orders.add(len(stab))
+        assert orders == {1, 2, 6, 24}
+
+    def test_all_c64_beyond_the_reference(self):
+        # order 2n from n = 5 on; the identity is in it and it is closed
+        # under composition
+        for n in (7, 8, 9):
+            stab = stabilizer(all_c64(n))
+            assert len(stab) == 2 * n
+            assert stab[0] == SignedPermutation.identity(range(1, n + 1))
+            group = set(stab)
+            assert all(s * t in group for s in stab for t in stab)
+
+    def test_curve_map(self):
+        cx = all_c64(4).complex
+        assert cx.curve_map(range(len(cx.flags))) == SignedPermutation.identity(
+            cx.indices)
+        # sigma0 keeps the curve and the side and reverses the orientation
+        assert cx.curve_map(cx.sigma0).one_line() == (-1, -2, -3, -4)
+        # sigma2 moves every flag to the other side
+        assert cx.curve_map(cx.sigma2) is None
 
     def test_martagon_stabilizers_contain_published_generators(self):
         M1 = catalog.arrangement("M1")
