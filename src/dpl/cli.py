@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import catalog as _catalog
-from .arrangement import load, parse_text, to_json_text
+from .arrangement import from_disk_only, parse_text, validate
 from .chirotope import (
     chirotope_of,
     chirotope_text,
@@ -19,9 +19,9 @@ from .chirotope import (
     parse_chirotope,
     reconstruct,
 )
-from .errors import DplError, FormatError
+from .errors import DplError, FormatError, IllegalLocus
 from .flags import automorphism_order, signed_group_order
-from .mutation import connectivity_check, moebius_census, projective_census
+from .mutation import _moebius_classes, connectivity_check, projective_census
 
 
 def _print(data, human=False):
@@ -179,14 +179,28 @@ def cmd_reconstruct(args):
     return 0
 
 
+def _emit_classes(path, arrangements, label):
+    os.makedirs(path, exist_ok=True)
+    for t, arr in enumerate(arrangements):
+        with open(os.path.join(path, "class%03d.dpl" % t), "w") as fh:
+            fh.write(arr.to_text(name=label % t))
+
+
 def cmd_enumerate(args):
     limit = args.limit_states
     if limit is None and os.environ.get("DPL_STATE_LIMIT"):
-        limit = int(os.environ["DPL_STATE_LIMIT"])
+        try:
+            limit = int(os.environ["DPL_STATE_LIMIT"])
+        except ValueError as exc:
+            raise FormatError("DPL_STATE_LIMIT is not an integer: %r"
+                              % os.environ["DPL_STATE_LIMIT"]) from exc
     try:
         if args.setting == "projective":
-            cen = projective_census(args.n, simple_only=not args.all,
-                                    limit=limit)
+            if args.all:
+                raise IllegalLocus("non-simple projective walks are not "
+                                   "wired to a census; use merge/split "
+                                   "moves via apply_move")
+            cen = projective_census(args.n, limit=limit)
             data = {
                 "n": args.n,
                 "setting": "projective",
@@ -195,36 +209,23 @@ def cmd_enumerate(args):
                 "connected": connectivity_check(cen),
             }
             if args.emit_classes:
-                os.makedirs(args.emit_classes, exist_ok=True)
-                from .arrangement import from_disk_only
-                for t, (pkey, keys) in enumerate(
-                        sorted(cen["plain_classes"].items())):
-                    words = cen["indexed_classes"][min(keys)]
-                    arr = from_disk_only(dict(zip(cen["indices"], words)))
-                    with open(os.path.join(args.emit_classes,
-                                           "class%03d.dpl" % t), "w") as fh:
-                        fh.write(arr.to_text(name="class %d" % t))
+                _emit_classes(args.emit_classes, (
+                    from_disk_only(dict(zip(
+                        cen["indices"], cen["indexed_classes"][min(keys)])))
+                    for _, keys in sorted(cen["plain_classes"].items())),
+                    "class %d")
             _print(data, human=args.human)
         else:
-            row = moebius_census(args.n, simple_only=not args.all,
-                                 limit=limit)
+            row, families = _moebius_classes(
+                args.n, simple_only=not args.all, limit=limit)
             if args.emit_classes:
-                os.makedirs(args.emit_classes, exist_ok=True)
-                from .mutation import moebius_states, act_words, _words_key
-                from .words import SignedPermutation
-                from .arrangement import from_disk_only
-                indices, visited = moebius_states(args.n, limit=limit)
-                group = SignedPermutation.all(indices)
-                reps = {}
-                for key, (words, desc) in visited.items():
-                    best = min(_words_key(act_words(s, indices, words))
-                               for s in group)
-                    reps.setdefault(best, words)
-                for t, k in enumerate(sorted(reps)):
-                    arr = from_disk_only(dict(zip(indices, reps[k])))
-                    with open(os.path.join(args.emit_classes,
-                                           "class%03d.dpl" % t), "w") as fh:
-                        fh.write(arr.to_text(name="projective class %d" % t))
+                # a family lists the disk cycles, then any crosscap cycles
+                n, indices = args.n, range(1, args.n + 1)
+                _emit_classes(args.emit_classes, (
+                    from_disk_only(dict(zip(indices, f))) if len(f) == n
+                    else validate(dict(zip(indices, f)),
+                                  dict(zip(indices, f[n:])))
+                    for f in families), "projective class %d")
             if args.table:
                 print("%d,%d,%d,%d,%d" % (row["n"], row["a"], row["b"],
                                           row["c"], row["d"]))

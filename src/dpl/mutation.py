@@ -14,7 +14,7 @@ inverted triangle is not the marked cell, and the marked cell is tracked
 through the move by one of its corner flags away from the triangle.
 """
 
-from collections import Counter, deque
+from collections import deque
 
 from . import words as W
 from .arrangement import (
@@ -161,15 +161,12 @@ def _transport_pair(inv, pair):
 # projective flip enumeration
 
 
-def projective_census(n, simple_only=True, limit=None, seed_all_versions=False):
+def projective_census(n, limit=None, seed_all_versions=False):
     """Flip-BFS over simple indexed-oriented states from the thin cyclic seed.
 
     Returns the discovered indexed classes (key -> word family), the flip
     adjacency between keys, and the grouping into plain isomorphism classes.
     """
-    if not simple_only:
-        raise IllegalLocus("non-simple projective walks are not wired to a "
-                           "census; use merge/split moves via apply()")
     seed = cyclic_thin(n)
     indices = seed.indices
     base = tuple(seed.disk[i] for i in indices)
@@ -315,94 +312,6 @@ def moebius_simple_census(n, limit=None, progress=None):
             if progress and len(visited) % progress == 0:
                 print("  ... frontier %d states %d" % (len(queue), len(visited)))
     return indices, visited
-
-
-def _census_groups(indices):
-    from itertools import permutations, product
-    n = len(indices)
-    perms = list(permutations(indices))
-    signs = list(product((1, -1), repeat=n))
-    evens = [s for s in signs if s.count(-1) % 2 == 0]
-    odds = [s for s in signs if s.count(-1) % 2 == 1]
-
-    def grp(ps, sgs):
-        return [W.SignedPermutation(dict(zip(indices, (s * v for v, s in zip(p, sg)))))
-                for p in ps for sg in sgs]
-
-    return {
-        "evens": grp([tuple(indices)], evens),
-        "perm_evens": grp(perms, evens),
-        "full": grp(perms, signs),
-        "odd_pure": grp([tuple(indices)], odds),
-    }
-
-
-class _UnionFind:
-    def __init__(self, keys):
-        self.parent = {k: k for k in keys}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def count(self):
-        return len({self.find(k) for k in self.parent})
-
-
-def _marked_classes(indices, tagsets, group, odd_pure):
-    """Number of classes of marked states under the calibrated equivalence.
-
-    Union-find over the whole group for every state; the tests compare it
-    with the canonical-form quotient of :func:`moebius_census_rows`.
-    """
-    uf = _UnionFind(tagsets)
-    for key, (words, tags) in tagsets.items():
-        wk = _words_key(words)
-        for sigma in group:
-            nw = act_words(sigma, indices, words)
-            nk = (_words_key(nw),
-                  min(transport_descriptor(sigma, d) for d in tags))
-            if nk in tagsets:
-                uf.union(key, nk)
-        for sigma in odd_pure:
-            if _words_key(act_words(sigma, indices, words)) != wk:
-                continue
-            nk = (wk, min(transport_descriptor(sigma, d) for d in tags))
-            if nk in tagsets:
-                uf.union(key, nk)
-    return uf.count()
-
-
-def moebius_census(n, simple_only=True, limit=None, progress=None):
-    """Counting row of the crosscap census.
-
-    Returns ``{"n", "a", "b", "c", "d"}``.  Simple states are counted by
-    :func:`moebius_census_rows`.  With ``simple_only`` false the walk also
-    crosses non-simple states (merge/split moves) and the "a" count is the
-    total number of marked classes.
-    """
-    if simple_only:
-        return moebius_census_rows(n, limit=limit, progress=progress)
-    indices, heavy = moebius_full_census(n, limit=limit)
-    g = _census_groups(indices)
-    states = set(heavy)
-    underlying = {arr.key(): arr for arr, _ in heavy.values()}
-    d = {min(arr.acted_key(s) for s in g["full"])
-         for arr in underlying.values()}
-    return {"n": n,
-            "a": _heavy_classes(heavy, states, g["evens"], g["odd_pure"]),
-            "b": _heavy_classes(heavy, states, g["perm_evens"],
-                                g["odd_pure"]),
-            "c": _heavy_classes(heavy, states, g["full"], []),
-            "d": len(d)}
 
 
 # ---------------------------------------------------------------------------
@@ -666,45 +575,12 @@ def moebius_full_census(n, limit=None):
     return indices, tagsets
 
 
-def _heavy_classes(heavy, subset, group, odd_pure):
-    """Classes of the heavy marked states in ``subset`` under ``group``
-    plus the members of ``odd_pure`` that fix the unmarked arrangement."""
-    uf = _UnionFind(subset)
-    for key in subset:
-        arr, tags = heavy[key]
-        wk = arr.key()
-        for sigma in group + odd_pure:
-            ak = arr.acted_key(sigma)
-            if sigma in odd_pure and ak != wk:
-                continue
-            nk = (ak, min(transport_heavy_descriptor(sigma, d) for d in tags))
-            if nk in subset:
-                uf.union(key, nk)
-    return uf.count()
-
-
-def moebius_chirotope_counts(n, limit=None):
-    """Marked classes (all and simple) under the `a`-equivalence.
-
-    On three indices these are the numbers of crosscap chirotopes.
-    """
-    indices, heavy = moebius_full_census(n, limit=limit)
-    g = _census_groups(indices)
-    simple = {k for k, (arr, _) in heavy.items() if arr.is_simple()}
-    return {"n": n,
-            "total": _heavy_classes(heavy, set(heavy), g["evens"],
-                                    g["odd_pure"]),
-            "simple": _heavy_classes(heavy, simple, g["evens"],
-                                     g["odd_pure"])}
-
-
 # ---------------------------------------------------------------------------
 # large-census fast path
 #
 # The reference BFS above rebuilds full flag structures per edge; here the
-# neighbor's marked-face tag is computed by walking a single face, and the
-# quotients minimize over the group with per-cycle pruning.  This is the
-# engine of the simple crosscap census at every size.
+# neighbor's marked-face tag is computed by walking a single face.  This is
+# the walk of the simple crosscap census at every size.
 
 
 def _marked_face(indices, words, desc):
@@ -774,110 +650,163 @@ def moebius_states(n, limit=None, progress=None):
     return indices, visited
 
 
-def _canonical_marked(indices, words, tags, group):
-    """Pruned minimum of (words key, tag) over a list of permutations."""
-    best_words = None
-    best = None
-    for sigma in group:
-        inv = sigma.inverse()
-        cand = []
-        worse = False
+# ---------------------------------------------------------------------------
+# the census quotient
+#
+# One canonical form serves simple and heavy states.  A state enters as its
+# cycles (the disk words, followed by the crosscap words for a heavy state)
+# and the descriptor set of its marked cell.  An odd sign change tau that
+# fixes x's family identifies the state x with tau.x.  Conjugating tau by a
+# member sigma of a row's group P gives such a sign change of sigma.x, and
+# two of them differ by an even sign change, which lies in P; so the class
+# of x is P.x together with P.tau.x for any one such tau.  As tau.x has x's
+# family, the class key is the minimum over P of (acted cycles, least
+# transported descriptor of x's tags and of their tau-images).
+
+
+def _census_groups(indices):
+    from itertools import permutations, product
+    n = len(indices)
+    perms = list(permutations(indices))
+    signs = list(product((1, -1), repeat=n))
+    evens = [s for s in signs if s.count(-1) % 2 == 0]
+    odds = [s for s in signs if s.count(-1) % 2 == 1]
+
+    def grp(ps, sgs):
+        return [W.SignedPermutation(dict(zip(indices, (s * v for v, s in zip(p, sg)))))
+                for p in ps for sg in sgs]
+
+    return {
+        "evens": grp([tuple(indices)], evens),
+        "perm_evens": grp(perms, evens),
+        "full": grp(perms, signs),
+        "odd_pure": grp([tuple(indices)], odds),
+    }
+
+
+def _acted_cycles(indices, cycles, sigma):
+    """Min-rotated cycles of the family acted on by ``sigma``, one at a
+    time; each block of ``len(indices)`` cycles is acted on alike."""
+    inv = sigma.inverse()
+    n = len(indices)
+    for b in range(0, len(cycles), n):
         for k in indices:
             m = sigma(k)
-            w = words[indices.index(abs(m))]
+            w = cycles[b + indices.index(abs(m))]
             if m < 0:
                 w = w[::-1]
-            w = W.min_rotation(tuple(inv(x) for x in w))
-            cand.append(w)
-            if best_words is not None:
-                prefix = tuple(cand)
-                if prefix > best_words[:len(cand)]:
-                    worse = True
+            yield W.min_rotation(tuple(inv(x) for x in w))
+
+
+def _canonical_marked(indices, cycles, tags, group, transport):
+    """Minimum of (acted cycles, least transported tag) over ``group``; a
+    permutation is dropped at the first cycle that exceeds the best."""
+    best = None
+    for sigma in group:
+        tied = best is not None
+        cand = []
+        for k, w in enumerate(_acted_cycles(indices, cycles, sigma)):
+            if tied:
+                if w > best[0][k]:
                     break
-        if worse:
-            continue
-        wk = tuple(cand)
-        tk = min(transport_descriptor(sigma, d) for d in tags)
-        if best is None or (wk, tk) < best:
-            best = (wk, tk)
-            best_words = wk
+                tied = w == best[0][k]
+            cand.append(w)
+        else:
+            key = (tuple(cand), min(transport(sigma, d) for d in tags))
+            if best is None or key < best:
+                best = key
     return best
 
 
-def moebius_census_rows(n, limit=None, progress=None):
-    """The census row via the fast path (the engine of :func:`moebius_census`).
+def _class_key(indices, cycles, tags, group, odd_pure, transport):
+    """Key of a marked state's class under ``group`` and the word-fixing
+    members of ``odd_pure``."""
+    family = [W.min_rotation(w) for w in cycles]
+    for tau in odd_pure:
+        if all(a == b for a, b in
+               zip(_acted_cycles(indices, cycles, tau), family)):
+            tags = tags | {transport(tau, d) for d in tags}
+            break
+    return _canonical_marked(indices, cycles, tags, group, transport)
 
-    Phases: BFS; canonical form under even reorientations plus the
-    word-fixing odd identifications (a); reindexings on one representative
-    per a-class (b); full group on the b-representatives (c, d).  Each
-    phase recomputes a state's marked-face descriptors by a face walk
-    rather than storing them per state.
+
+def _phase_keys(indices, states, marked, transport, progress=None):
+    """Yield the a-, b- and c-keys of the census quotient, phase by phase.
+
+    ``marked(state)`` gives a state's cycles and marked descriptor set.
+    Phase a keys every state, b one state per a-class, c one per b-class;
+    the d-key of a class is the cycles part of its c-key.
     """
-    indices, visited = moebius_states(n, limit=limit, progress=progress)
     g = _census_groups(indices)
-
-    if progress:
-        print("phase a over %d states" % len(visited), flush=True)
-    a_key = {}
-    for t, (key, (words, desc)) in enumerate(visited.items()):
-        a_key[key] = _canonical_marked(indices, words,
-                                       _marked_face(indices, words, desc),
-                                       g["evens"])
-        if progress and t and t % progress == 0:
-            print("  a %d/%d" % (t, len(visited)), flush=True)
-    _link_odd_wordfixing(indices, visited, a_key, g["odd_pure"])
-    a_reps = {}
-    for key, ak in a_key.items():
-        a_reps.setdefault(ak, key)
-    a_count = len(a_reps)
-
-    if progress:
-        print("phase b over %d representatives" % a_count, flush=True)
-    b_key = {}
-    rep_states = {key: visited[key] for key in a_reps.values()}
-    for t, (key, (words, desc)) in enumerate(rep_states.items()):
-        b_key[key] = _canonical_marked(indices, words,
-                                       _marked_face(indices, words, desc),
-                                       g["perm_evens"])
-        if progress and t and t % progress == 0:
-            print("  b %d/%d" % (t, a_count), flush=True)
-    _link_odd_wordfixing(indices, rep_states, b_key, g["odd_pure"])
-    b_reps = {}
-    for key, bk in b_key.items():
-        b_reps.setdefault(bk, key)
-    b_count = len(b_reps)
-
-    if progress:
-        print("phase c/d over %d representatives" % b_count, flush=True)
-    c_keys = set()
-    d_keys = set()
-    for bk, key in b_reps.items():
-        words, desc = visited[key]
-        c_keys.add(_canonical_marked(indices, words,
-                                     _marked_face(indices, words, desc),
-                                     g["full"]))
-        best = None
-        for sigma in g["full"]:
-            wk = _words_key(act_words(sigma, indices, words))
-            if best is None or wk < best:
-                best = wk
-        d_keys.add(best)
-    return {"n": n, "a": a_count, "b": b_count, "c": len(c_keys),
-            "d": len(d_keys)}
+    keys = states
+    for phase, group in zip("abc", ("evens", "perm_evens", "full")):
+        if progress:
+            print("phase %s over %d states" % (phase, len(keys)), flush=True)
+        out = {}
+        for t, key in enumerate(keys):
+            cycles, tags = marked(states[key])
+            out[key] = _class_key(indices, cycles, tags, g[group],
+                                  g["odd_pure"], transport)
+            if progress and t and t % progress == 0:
+                print("  %s %d/%d" % (phase, t, len(keys)), flush=True)
+        yield out
+        reps = {}
+        for key, ck in out.items():
+            reps.setdefault(ck, key)
+        keys = list(reps.values())
 
 
-def _link_odd_wordfixing(indices, visited, b_keys, odd_pure):
-    """Merge b-classes related by word-fixing odd sign changes."""
-    uf = _UnionFind(set(b_keys.values()))
-    for key, (words, desc) in visited.items():
-        wk = key[0]
-        for sigma in odd_pure:
-            if _words_key(act_words(sigma, indices, words)) != wk:
-                continue
-            tags = _marked_face(indices, words, desc)
-            nk = (wk, min(transport_descriptor(sigma, d) for d in tags))
-            if nk in visited:
-                uf.union(b_keys[key], b_keys[nk])
-    rep = {bk: uf.find(bk) for bk in set(b_keys.values())}
-    for key in b_keys:
-        b_keys[key] = rep[b_keys[key]]
+def _heavy_marked(state):
+    arr, tags = state
+    return (tuple(arr.disk[i] for i in arr.indices)
+            + tuple(arr.crosscap[i] for i in arr.indices)), tags
+
+
+def _moebius_classes(n, simple_only=True, limit=None, progress=None):
+    """Census row and its sorted d-keys, one family of cycles per class of
+    unmarked arrangements: the disk words, then for heavy states the
+    crosscap words."""
+    if simple_only:
+        indices, states = moebius_states(n, limit=limit, progress=progress)
+
+        def marked(state):
+            words, desc = state
+            return words, _marked_face(indices, words, desc)
+
+        transport = transport_descriptor
+    else:
+        indices, states = moebius_full_census(n, limit=limit)
+        marked, transport = _heavy_marked, transport_heavy_descriptor
+    a, b, c = _phase_keys(indices, states, marked, transport, progress)
+    d = sorted({ck[0] for ck in c.values()})
+    row = {"n": n, "a": len(set(a.values())), "b": len(set(b.values())),
+           "c": len(set(c.values())), "d": len(d)}
+    return row, d
+
+
+def moebius_census(n, simple_only=True, limit=None, progress=None):
+    """Counting row of the crosscap census.
+
+    Returns ``{"n", "a", "b", "c", "d"}``.  With ``simple_only`` false the
+    walk also crosses non-simple states (merge/split moves) and the "a"
+    count is the total number of marked classes.
+    """
+    return _moebius_classes(n, simple_only, limit, progress)[0]
+
+
+def moebius_census_rows(n, limit=None, progress=None):
+    """The simple census row: :func:`moebius_states` and the quotient."""
+    return _moebius_classes(n, True, limit, progress)[0]
+
+
+def moebius_chirotope_counts(n, limit=None):
+    """Marked classes (all and simple) under the `a`-equivalence.
+
+    On three indices these are the numbers of crosscap chirotopes.
+    """
+    indices, heavy = moebius_full_census(n, limit=limit)
+    a = next(_phase_keys(indices, heavy, _heavy_marked,
+                         transport_heavy_descriptor))
+    return {"n": n, "total": len(set(a.values())),
+            "simple": len({ak for key, ak in a.items()
+                           if heavy[key][0].is_simple()})}

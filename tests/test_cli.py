@@ -196,6 +196,34 @@ def test_enumerate_moebius_emit_classes(tmp_path, capsys):
     assert len(list(out_dir.glob("*.dpl"))) == 1
 
 
+def test_enumerate_moebius_emit_classes_three(tmp_path, capsys):
+    """One file per class of unmarked arrangements, as the census counts
+    them in its d column."""
+    from dpl.arrangement import load
+    out_dir = tmp_path / "mclasses"
+    code, out = run(capsys, "enumerate", "--n", "3", "--setting", "moebius",
+                    "--emit-classes", str(out_dir))
+    assert code == 0 and json.loads(out)["d"] == 12
+    files = sorted(out_dir.glob("*.dpl"))
+    assert len(files) == 12
+    keys = {load(str(f)).complex.canonical_key("plain") for f in files}
+    assert len(keys) == 12
+
+
+def test_enumerate_projective_all_is_illegal(capsys):
+    code, out = run(capsys, "enumerate", "--n", "3", "--setting",
+                    "projective", "--all")
+    assert code == 1
+    assert json.loads(out)["code"] == "illegal-locus"
+
+
+def test_enumerate_state_limit_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("DPL_STATE_LIMIT", "abc")
+    code, out = run(capsys, "enumerate", "--n", "2", "--setting", "moebius")
+    assert code == 1
+    assert json.loads(out)["code"] == "format-error"
+
+
 def test_enumerate_deterministic_output(capsys):
     code1, out1 = run(capsys, "enumerate", "--n", "3",
                       "--setting", "projective")

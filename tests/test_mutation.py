@@ -9,8 +9,12 @@ from dpl.mutation import (
     MutationMove,
     SimpleState,
     _census_groups,
-    _marked_classes,
+    _class_key,
+    _heavy_descs,
+    _heavy_lookup,
+    _heavy_marked,
     _marked_face,
+    _phase_keys,
     _split_candidates,
     _words_key,
     act_words,
@@ -23,6 +27,8 @@ from dpl.mutation import (
     moebius_states,
     projective_census,
     pumping_check,
+    transport_descriptor,
+    transport_heavy_descriptor,
     triangles,
 )
 
@@ -146,6 +152,85 @@ class TestPumping:
             assert pumping_check(arr, gamma)
 
 
+class _UnionFind:
+    def __init__(self, keys):
+        self.parent = {k: k for k in keys}
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def count(self):
+        return len({self.find(k) for k in self.parent})
+
+
+def reference_marked_classes(indices, tagsets, group, odd_pure):
+    """Classes of simple marked states (key -> (words, tags)): union-find
+    over every member of ``group`` and every word-fixing member of
+    ``odd_pure``, applied to every state."""
+    uf = _UnionFind(tagsets)
+    for key, (words, tags) in tagsets.items():
+        wk = _words_key(words)
+        for sigma in group:
+            nw = act_words(sigma, indices, words)
+            nk = (_words_key(nw),
+                  min(transport_descriptor(sigma, d) for d in tags))
+            if nk in tagsets:
+                uf.union(key, nk)
+        for sigma in odd_pure:
+            if _words_key(act_words(sigma, indices, words)) != wk:
+                continue
+            nk = (wk, min(transport_descriptor(sigma, d) for d in tags))
+            if nk in tagsets:
+                uf.union(key, nk)
+    return uf.count()
+
+
+def reference_heavy_classes(heavy, group, odd_pure):
+    """:func:`reference_marked_classes` for heavy states
+    (key -> (arrangement, tags))."""
+    uf = _UnionFind(heavy)
+    for key, (arr, tags) in heavy.items():
+        wk = arr.key()
+        for sigma in group + odd_pure:
+            ak = arr.acted_key(sigma)
+            if sigma in odd_pure and ak != wk:
+                continue
+            nk = (ak, min(transport_heavy_descriptor(sigma, d) for d in tags))
+            if nk in heavy:
+                uf.union(key, nk)
+    return uf.count()
+
+
+@pytest.fixture(scope="module")
+def lifted():
+    """The marked simple states of ``moebius_states(3)`` as heavy states:
+    validated arrangements with node descriptors of the marked cell."""
+    indices, states = moebius_states(3)
+    heavy = {}
+    for words, (i, pair, eps, side) in states.values():
+        arr = from_disk_only(dict(zip(indices, words)))
+        cx = arr.complex
+        f = _heavy_lookup(cx, (i, (pair,), eps, side))
+        tags = _heavy_descs(cx, cx.face_of[f])
+        heavy[(arr.key(), min(tags))] = (arr, tags)
+    return indices, states, heavy
+
+
+def phase_counts(indices, states, marked, transport):
+    a, b, c = _phase_keys(indices, states, marked, transport)
+    return (len(set(a.values())), len(set(b.values())),
+            len(set(c.values())), len({ck[0] for ck in c.values()}))
+
+
 class TestMoebiusCensus:
     def test_row_two(self):
         row = moebius_census(2)
@@ -173,14 +258,109 @@ class TestMoebiusCensus:
                    for key, (words, desc) in slow.items()}
         g = _census_groups(indices)
         slow_row = (
-            _marked_classes(indices, tagsets, g["evens"], g["odd_pure"]),
-            _marked_classes(indices, tagsets, g["perm_evens"], g["odd_pure"]),
-            _marked_classes(indices, tagsets, g["full"], []),
+            reference_marked_classes(indices, tagsets, g["evens"],
+                                     g["odd_pure"]),
+            reference_marked_classes(indices, tagsets, g["perm_evens"],
+                                     g["odd_pure"]),
+            reference_marked_classes(indices, tagsets, g["full"], []),
             len({min(_words_key(act_words(s, indices, words))
                      for s in g["full"]) for words, _ in tagsets.values()}))
         row = moebius_census_rows(3)
         assert slow_row == (row["a"], row["b"], row["c"], row["d"]) \
             == (118, 22, 16, 12)
+
+    def test_heavy_quotient_matches_union_find(self, lifted):
+        """The quotient on heavy states, lifted from the 472 simple ones,
+        against the whole-group union-find on the same states."""
+        indices, states, heavy = lifted
+        assert len(heavy) == len(states) == 472
+        g = _census_groups(indices)
+        assert phase_counts(indices, heavy, _heavy_marked,
+                            transport_heavy_descriptor) == (118, 22, 16, 12)
+        assert (reference_heavy_classes(heavy, g["evens"], g["odd_pure"]),
+                reference_heavy_classes(heavy, g["perm_evens"],
+                                        g["odd_pure"]),
+                reference_heavy_classes(heavy, g["full"], [])) \
+            == (118, 22, 16)
+
+
+def _odd_wordfixing(indices, cycles, odd_pure):
+    """Odd pure sign changes that fix the family (disk words, then the
+    crosscap words of a heavy state)."""
+    n = len(indices)
+    blocks = [cycles[b:b + n] for b in range(0, len(cycles), n)]
+    return [tau for tau in odd_pure
+            if all(_words_key(act_words(tau, indices, blk)) == _words_key(blk)
+                   for blk in blocks)]
+
+
+class TestClassKeyInvariance:
+    """A state's class key is unchanged under its group and under the
+    word-fixing odd sign changes, which is what lets one key replace the
+    union-find."""
+
+    GROUPS = ("evens", "perm_evens", "full")
+
+    def check(self, indices, states, act, transport):
+        g = _census_groups(indices)
+        rng = random.Random(8)
+        images = 0
+        for cycles, tags in states:
+            taus = _odd_wordfixing(indices, cycles, g["odd_pure"])
+            for phase in self.GROUPS:
+                key = _class_key(indices, cycles, tags, g[phase],
+                                 g["odd_pure"], transport)
+                for sigma in [rng.choice(g[phase])] + taus:
+                    acted = act(sigma, cycles, tags)
+                    assert _class_key(indices, *acted, g[phase],
+                                      g["odd_pure"], transport) == key
+                    images += 1
+        # at least one state has a word-fixing odd sign change
+        assert images > len(self.GROUPS) * len(states)
+
+    def test_simple_states(self):
+        indices, states = moebius_states(3)
+        rng = random.Random(5)
+        sample = rng.sample(sorted(states), 60)
+
+        def act(sigma, words, tags):
+            nw = act_words(sigma, indices, words)
+            ntags = frozenset(transport_descriptor(sigma, d) for d in tags)
+            assert _marked_face(indices, nw, min(ntags)) == ntags
+            return nw, ntags
+
+        picked = [(states[k][0], _marked_face(indices, *states[k]))
+                  for k in sample]
+        self.check(indices, picked, act, transport_descriptor)
+
+    def test_heavy_states(self, lifted):
+        """Lifted states, and non-simple ones: every admissible cell of
+        every merge of a flip-walk state."""
+        indices, _, heavy = lifted
+        rng = random.Random(6)
+        arrs = [heavy[k][0] for k in rng.sample(sorted(heavy), 8)]
+        picked = [_heavy_marked(heavy[k]) for k in rng.sample(sorted(heavy), 30)]
+        for arr in arrs:
+            t, m = rng.choice(triangles(arr))
+            merged = apply_move(arr, MutationMove("merge", t, m))
+            assert not merged.is_simple()
+            cx = merged.complex
+            picked += [_heavy_marked((merged, _heavy_descs(cx, c)))
+                       for c in cx.admissible_cells()]
+        assert len(picked) > 40
+
+        def act(sigma, cycles, tags):
+            n = len(indices)
+            arr = validate(dict(zip(indices, cycles[:n])),
+                           dict(zip(indices, cycles[n:]))).act(sigma)
+            ntags = frozenset(transport_heavy_descriptor(sigma, d)
+                              for d in tags)
+            cx = arr.complex
+            f = _heavy_lookup(cx, min(ntags))
+            assert _heavy_descs(cx, cx.face_of[f]) == ntags
+            return _heavy_marked((arr, ntags))
+
+        self.check(indices, picked, act, transport_heavy_descriptor)
 
 
 class TestFlipBookkeeping:
