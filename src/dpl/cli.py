@@ -22,6 +22,7 @@ from .chirotope import (
 from .errors import DplError, FormatError, IllegalLocus
 from .flags import automorphism_order, signed_group_order
 from .mutation import _moebius_classes, connectivity_check, projective_census
+from .words import signed_permutations
 
 
 def _print(data, human=False):
@@ -118,20 +119,14 @@ def cmd_iso(args):
         verdict = a.key() == b.key()
         mode = "indexed+oriented"
     elif args.indexed or args.oriented:
-        from .words import SignedPermutation
-        from itertools import product as _product, permutations as _perms
         if len(a.indices) != len(b.indices):
             verdict, mode = False, "size"
         else:
-            perms = ([tuple(a.indices)] if args.indexed
-                     else list(_perms(a.indices)))
-            signs = ([tuple(1 for _ in a.indices)] if args.oriented
-                     else list(_product((1, -1), repeat=len(a.indices))))
+            perms = [tuple(a.indices)] if args.indexed else None
+            signs = [tuple(1 for _ in a.indices)] if args.oriented else None
             kb = b.key()
-            verdict = any(
-                a.acted_key(SignedPermutation(dict(zip(
-                    a.indices, (s * p for p, s in zip(pp, sg)))))) == kb
-                for pp in perms for sg in signs)
+            verdict = any(a.acted_key(s) == kb for s in
+                          signed_permutations(a.indices, perms, signs))
             mode = "indexed" if args.indexed else "oriented"
     else:
         verdict = (a.complex.canonical_key("plain")

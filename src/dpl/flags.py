@@ -158,6 +158,12 @@ def side_labels(indices, start, faces, face_of):
     return sides
 
 
+def disk_faces(face_sides):
+    """Faces on the disk side of every curve, from their side labels."""
+    return tuple(t for t, sides in enumerate(face_sides)
+                 if all(v < 0 for v in sides.values()))
+
+
 class FlagComplex:
     """Cell-complex view of a validated arrangement."""
 
@@ -305,11 +311,22 @@ class FlagComplex:
         if self.genus != 1:
             raise GenusNotOne("admissible cells need a genus-1 arrangement",
                               genus=self.genus)
-        return self.admissible_cells_any_genus()
+        return disk_faces(self.face_sides)
 
-    def admissible_cells_any_genus(self):
-        return tuple(t for t, sides in enumerate(self.face_sides)
-                     if all(v < 0 for v in sides.values()))
+    # -- marked-cell descriptors -------------------------------------------
+
+    def descriptor(self, f):
+        """``(curve, node, orientation, side)`` of flag ``f``; the node is
+        the sorted tuple of the vertex's crossing pairs."""
+        nd, eps, i, side = self.flags[f]
+        return (i, tuple(sorted(self.node_list[nd])), eps, side)
+
+    def flag_from_descriptor(self, desc):
+        i, node, eps, side = desc
+        return self.fid[(self.node_id[frozenset(node)], eps, i, side)]
+
+    def face_descriptors(self, t):
+        return frozenset(self.descriptor(f) for f in self.faces[t])
 
     # -- canonical form, automorphisms -------------------------------------
 
@@ -349,13 +366,9 @@ class FlagComplex:
         if mode == "marked":
             if marked_face is None:
                 raise ValueError("marked mode needs a face index")
-            tag = min(self._flag_descriptor(f) for f in self.faces[marked_face])
+            tag = min(self.face_descriptors(marked_face))
             return repr((key, tag)).encode()
         raise ValueError("unknown mode %r" % mode)
-
-    def _flag_descriptor(self, f):
-        nd, eps, i, side = self.flags[f]
-        return (tuple(sorted(self.node_list[nd])), eps, i, side)
 
     def _plain(self):
         if self._plain_key is None:

@@ -7,14 +7,25 @@ non-inverse split and maps simple arrangements to simple arrangements
 (it inverts the triangle, swapping one adjacent letter pair per support
 in both side cycles).
 
-Enumeration walks the flip graph from the thin cyclic seed with canonical
-dedup.  In the crosscap (Moebius) setting states carry a marked 2-cell
-contained in the disk side of every curve; a flip is admissible when the
-inverted triangle is not the marked cell, and the marked cell is tracked
-through the move by one of its corner flags away from the triangle.
+Every census is one breadth-first walk, :func:`_walk`, with canonical
+dedup; a census supplies its seeds (the thin cyclic seed, or all its
+signed versions) and the neighbours of a state.  The state cap counts
+every state the walk stores, seeds included: a walk raises
+:class:`ResourceLimit` when it stores state ``limit + 1``, so ``partial``
+is the number of states stored.
+
+In the crosscap (Moebius) setting states carry a marked 2-cell contained
+in the disk side of every curve; a move is admissible when it keeps the
+marked cell, which is tracked through the move by one of its corner flags
+away from the move.  Simple and heavy states name a flag by one
+descriptor, ``(curve, node, orientation, side)``, where ``node`` is the
+sorted tuple of the vertex's crossing pairs (a 1-tuple at a simple
+vertex).
 """
 
+import sys
 from collections import deque
+from itertools import permutations, product
 
 from . import words as W
 from .arrangement import (
@@ -29,6 +40,7 @@ from .errors import DplError, IllegalLocus, ResourceLimit
 from .flags import (
     _EPS_SIDE,
     crossing_positions,
+    disk_faces,
     face_orbits,
     flag_id,
     flag_sigmas,
@@ -83,11 +95,13 @@ class SimpleState:
         return self._face_of
 
     def descriptor(self, f):
+        """``(curve, (pair,), orientation, side)``: the descriptor of
+        :meth:`flags.FlagComplex.descriptor` at a simple vertex."""
         i, p, eps, side = self.flag(f)
-        return (i, self.pairs[i][p], eps, side)
+        return (i, (self.pairs[i][p],), eps, side)
 
     def flag_from_descriptor(self, desc):
-        i, pair, eps, side = desc
+        i, (pair,), eps, side = desc
         return self.fid(i, self.pos[pair][i], eps, side)
 
     def face_descriptors(self, t):
@@ -121,15 +135,23 @@ class SimpleState:
         """face -> {curve: side}; -1 is the disk side."""
         return side_labels(self.indices, self.start, self.faces, self.face_of)
 
+    def admissible_cells(self):
+        """Faces contained in the disk side of every curve."""
+        return disk_faces(self.face_sides())
+
+
+def _swap_adjacent(word, p):
+    w = list(word)
+    q = (p + 1) % len(w)
+    w[p], w[q] = w[q], w[p]
+    return tuple(w)
+
 
 def _swap_words(indices, words, swaps):
     new = list(words)
     for i, a in swaps:
         k = indices.index(i)
-        w = list(new[k])
-        b = (a + 1) % len(w)
-        w[a], w[b] = w[b], w[a]
-        new[k] = tuple(w)
+        new[k] = _swap_adjacent(new[k], a)
     return tuple(new)
 
 
@@ -137,17 +159,17 @@ def _words_key(words):
     return tuple(W.min_rotation(w) for w in words)
 
 
-def transport_descriptor(sigma, desc):
-    """Flag descriptor of ``act(sigma, .)`` matching ``desc``.
+def transport_descriptor(inv, desc):
+    """Flag descriptor of ``act(sigma, .)`` matching ``desc``, given the
+    inverse ``inv`` of ``sigma``.
 
-    The crossing pair relabels through the inverse permutation and is
+    Each crossing pair of the node relabels through ``inv`` and is
     negated when exactly one of its two curves is reoriented.
     """
-    inv = sigma.inverse()
-    i, pair, eps, side = desc
+    i, node, eps, side = desc
     ii = inv(i)
-    return (abs(ii), _transport_pair(inv, pair), eps if ii > 0 else -eps,
-            side)
+    node2 = tuple(sorted(_transport_pair(inv, pair) for pair in node))
+    return (abs(ii), node2, eps if ii > 0 else -eps, side)
 
 
 def _transport_pair(inv, pair):
@@ -155,6 +177,52 @@ def _transport_pair(inv, pair):
     if sum(1 for x in pair if inv(abs(x)) < 0) == 1:
         new_pair = (-new_pair[1], -new_pair[0])
     return new_pair
+
+
+# ---------------------------------------------------------------------------
+# the walk
+
+
+def _walk(seeds, neighbours, limit, progress):
+    """Breadth-first walk; returns the map key -> state in the order found.
+
+    ``seeds`` yields ``(key, state)`` pairs and ``neighbours(key, state)``
+    those of a state's neighbours.  Every seed is stored before any state
+    is expanded, and a key keeps the first state stored under it.  The
+    walk raises :class:`ResourceLimit` when it stores state ``limit + 1``;
+    with ``progress`` it writes a line to stderr every ``progress``
+    expanded states.
+    """
+    visited = {}
+    queue = deque()
+
+    def store(pairs):
+        for key, state in pairs:
+            if key in visited:
+                continue
+            visited[key] = state
+            queue.append(key)
+            if limit is not None and len(visited) > limit:
+                raise ResourceLimit("state cap %d exceeded" % limit,
+                                    partial=len(visited))
+
+    store(seeds)
+    expanded = 0
+    while queue:
+        key = queue.popleft()
+        store(neighbours(key, visited[key]))
+        expanded += 1
+        if progress and expanded % progress == 0:
+            print("expanded %d, found %d, frontier %d"
+                  % (expanded, len(visited), len(queue)),
+                  file=sys.stderr, flush=True)
+    return visited
+
+
+def _thin_words(n):
+    """Indices and disk words of :func:`arrangement.cyclic_thin`."""
+    seed = cyclic_thin(n)
+    return seed.indices, tuple(seed.disk[i] for i in seed.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -167,34 +235,22 @@ def projective_census(n, limit=None, seed_all_versions=False):
     Returns the discovered indexed classes (key -> word family), the flip
     adjacency between keys, and the grouping into plain isomorphism classes.
     """
-    seed = cyclic_thin(n)
-    indices = seed.indices
-    base = tuple(seed.disk[i] for i in indices)
+    indices, base = _thin_words(n)
     seeds = [base]
     if seed_all_versions:
-        seeds = [act_words(s, indices, base)
-                 for s in W.SignedPermutation.all(indices)]
-    visited = {}
-    queue = deque()
+        seeds = (act_words(s, indices, base)
+                 for s in W.signed_permutations(indices))
     edges = set()
-    for w in seeds:
-        k = _words_key(w)
-        if k not in visited:
-            visited[k] = w
-            queue.append(k)
-    while queue:
-        key = queue.popleft()
-        if limit is not None and len(visited) > limit:
-            raise ResourceLimit("state cap %d exceeded" % limit,
-                                partial=len(visited))
-        st = SimpleState(indices, visited[key])
-        for t, swaps, corners in st.triangles():
-            nw = _swap_words(indices, visited[key], swaps)
+
+    def neighbours(key, words):
+        for t, swaps, corners in SimpleState(indices, words).triangles():
+            nw = _swap_words(indices, words, swaps)
             nk = _words_key(nw)
             edges.add((min(key, nk), max(key, nk)))
-            if nk not in visited:
-                visited[nk] = nw
-                queue.append(nk)
+            yield nk, nw
+
+    visited = _walk(((_words_key(w), w) for w in seeds), neighbours,
+                    limit, None)
     plain = {}
     for key, w in visited.items():
         arr = from_disk_only(dict(zip(indices, w)))
@@ -216,15 +272,9 @@ def connectivity_check(census):
     for a, b in census["edges"]:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    seen = {next(iter(keys))}
-    todo = deque(seen)
-    while todo:
-        k = todo.popleft()
-        for u in adj.get(k, ()):
-            if u not in seen:
-                seen.add(u)
-                todo.append(u)
-    return seen == keys
+    seen = _walk([(next(iter(keys)), None)],
+                 lambda k, _: ((u, None) for u in adj.get(k, ())), None, None)
+    return set(seen) == keys
 
 
 def pumping_check(arr, gamma):
@@ -261,9 +311,15 @@ def pumping_check(arr, gamma):
 #   d: full-group classes of the underlying unmarked families.
 
 
-def _admissible_faces(st):
-    return [t for t, sides in enumerate(st.face_sides())
-            if all(v < 0 for v in sides.values())]
+def _marked_seeds(indices, base):
+    """Every signed version of the disk words ``base``, marked at each of
+    its admissible cells: ``(key, (words, descriptor))`` pairs."""
+    for sigma in W.signed_permutations(indices):
+        w = act_words(sigma, indices, base)
+        st = SimpleState(indices, w)
+        for t in st.admissible_cells():
+            desc = min(st.face_descriptors(t))
+            yield (_words_key(w), desc), (w, desc)
 
 
 def moebius_simple_census(n, limit=None, progress=None):
@@ -274,44 +330,26 @@ def moebius_simple_census(n, limit=None, progress=None):
     rebuilds the full flag structures of every neighbor, where
     :func:`moebius_states` walks only the neighbor's marked face.
     """
-    seed = cyclic_thin(n)
-    indices = seed.indices
-    base = tuple(seed.disk[i] for i in indices)
-    visited = {}
-    queue = deque()
-    for sigma in W.SignedPermutation.all(indices):
-        w = act_words(sigma, indices, base)
-        st = SimpleState(indices, w)
-        for t in _admissible_faces(st):
-            descs = st.face_descriptors(t)
-            key = (_words_key(w), min(descs))
-            if key not in visited:
-                visited[key] = (w, min(descs))
-                queue.append(key)
-    while queue:
-        key = queue.popleft()
-        if limit is not None and len(visited) > limit:
-            raise ResourceLimit("state cap %d exceeded" % limit,
-                                partial=len(visited))
-        words, desc = visited[key]
+    indices, base = _thin_words(n)
+
+    def neighbours(key, state):
+        words, desc = state
         st = SimpleState(indices, words)
         marked = st.face_of[st.flag_from_descriptor(desc)]
         marked_descs = st.face_descriptors(marked)
         for t, swaps, corners in st.triangles():
             if t == marked:
                 continue
-            survivors = [d for d in marked_descs if d[1] not in corners]
+            survivors = [d for d in marked_descs if d[1][0] not in corners]
             assert survivors, "marked cell lost all corners"
             nw = _swap_words(indices, words, swaps)
             st2 = SimpleState(indices, nw)
             t2 = st2.face_of[st2.flag_from_descriptor(survivors[0])]
-            nk = (_words_key(nw), min(st2.face_descriptors(t2)))
-            if nk not in visited:
-                visited[nk] = (nw, survivors[0])
-                queue.append(nk)
-            if progress and len(visited) % progress == 0:
-                print("  ... frontier %d states %d" % (len(queue), len(visited)))
-    return indices, visited
+            yield ((_words_key(nw), min(st2.face_descriptors(t2))),
+                   (nw, survivors[0]))
+
+    return indices, _walk(_marked_seeds(indices, base), neighbours, limit,
+                          progress)
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +410,6 @@ def _corner_positions(arr, cx, face):
         else:
             raise IllegalLocus("face corners not adjacent on curve %d" % i)
     return swaps
-
-
-def _swap_adjacent(word, p):
-    w = list(word)
-    q = (p + 1) % len(w)
-    w[p], w[q] = w[q], w[p]
-    return tuple(w)
 
 
 def _split_candidates(arr, node, m):
@@ -487,66 +518,26 @@ def inverse_split(arr, merged, node, moving):
 # full (non-simple) marked walk
 
 
-def _heavy_descs(cx, t):
-    out = set()
-    for f in cx.faces[t]:
-        nd, eps, i, side = cx.flags[f]
-        out.add((i, tuple(sorted(cx.node_list[nd])), eps, side))
-    return frozenset(out)
-
-
-def _heavy_lookup(cx, desc):
-    i, node_tuple, eps, side = desc
-    nd = cx.node_id[frozenset(node_tuple)]
-    return cx.fid[(nd, eps, i, side)]
-
-
-def transport_heavy_descriptor(sigma, desc):
-    """:func:`transport_descriptor` for a descriptor naming a whole node."""
-    inv = sigma.inverse()
-    i, node_tuple, eps, side = desc
-    ii = inv(i)
-    node2 = tuple(sorted(_transport_pair(inv, pair) for pair in node_tuple))
-    return (abs(ii), node2, eps if ii > 0 else -eps, side)
-
-
 def moebius_full_census(n, limit=None):
     """Merge/split BFS over marked states of any simplicity (n small).
 
-    Returns (indices, key -> (word family or None, marked descriptor set));
-    states are heavy (validated arrangements), keys canonical.
+    Returns (indices, key -> (arrangement, marked descriptor set)); states
+    are heavy (validated arrangements), keys canonical.
     """
     seed = cyclic_thin(n)
-    indices = seed.indices
-    visited = {}
-    reps = {}
-    queue = deque()
 
-    def push(arr, desc):
+    def seeds():
+        for sigma in W.signed_permutations(seed.indices):
+            arr = seed.act(sigma)
+            cx = arr.complex
+            for t in cx.admissible_cells():
+                tags = cx.face_descriptors(t)
+                yield (arr.key(), min(tags)), (arr, tags)
+
+    def neighbours(key, state):
+        arr, marked_tags = state
         cx = arr.complex
-        tags = _heavy_descs(cx, cx.face_of[_heavy_lookup(cx, desc)])
-        key = (arr.key(), min(tags))
-        if key not in visited:
-            visited[key] = (arr, min(tags))
-            reps[key] = tags
-            queue.append(key)
-
-    for sigma in W.SignedPermutation.all(indices):
-        arr = seed.act(sigma)
-        cx = arr.complex
-        for t in cx.admissible_cells():
-            push(arr, min(_heavy_descs(cx, t)))
-
-    while queue:
-        key = queue.popleft()
-        if limit is not None and len(visited) > limit:
-            raise ResourceLimit("state cap %d exceeded" % limit,
-                                partial=len(visited))
-        arr, desc = visited[key]
-        cx = arr.complex
-        marked = cx.face_of[_heavy_lookup(cx, desc)]
-        marked_tags = _heavy_descs(cx, marked)
-
+        marked = cx.face_of[cx.flag_from_descriptor(key[1])]
         steps = []      # (neighbour, nodes the move removes)
         seen_faces = set()
         for t, curve in triangles(arr):
@@ -567,12 +558,12 @@ def moebius_full_census(n, limit=None):
             survivors = [d for d in marked_tags
                          if frozenset(d[1]) not in dead_nodes]
             assert survivors, "marked cell lost all corners"
-            push(out, survivors[0])
+            ocx = out.complex
+            tags = ocx.face_descriptors(
+                ocx.face_of[ocx.flag_from_descriptor(survivors[0])])
+            yield (out.key(), min(tags)), (out, tags)
 
-    tagsets = {}
-    for key, (arr, desc) in visited.items():
-        tagsets[key] = (arr, reps[key])
-    return indices, tagsets
+    return seed.indices, _walk(seeds(), neighbours, limit, None)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +578,7 @@ def _marked_face(indices, words, desc):
     """Descriptors of the face holding flag ``desc``, found by walking that
     face alone (no full state build)."""
     pairs, pos = _disk_pairs(indices, words)
-    i0, pair0, eps0, side0 = desc
+    i0, (pair0,), eps0, side0 = desc
     start = (i0, pos[pair0][i0], eps0, side0)
     seen = {start}
     stack = [start]
@@ -602,7 +593,8 @@ def _marked_face(indices, words, desc):
             if g not in seen:
                 seen.add(g)
                 stack.append(g)
-    return frozenset((i, pairs[i][p], eps, side) for i, p, eps, side in seen)
+    return frozenset((i, (pairs[i][p],), eps, side)
+                     for i, p, eps, side in seen)
 
 
 def moebius_states(n, limit=None, progress=None):
@@ -610,44 +602,24 @@ def moebius_states(n, limit=None, progress=None):
 
     Returns (indices, {key: (words, descriptor)}).
     """
-    seed = cyclic_thin(n)
-    indices = seed.indices
-    base = tuple(seed.disk[i] for i in indices)
-    visited = {}
-    queue = deque()
-    for sigma in W.SignedPermutation.all(indices):
-        w = act_words(sigma, indices, base)
-        st = SimpleState(indices, w)
-        for t in _admissible_faces(st):
-            desc = min(st.face_descriptors(t))
-            key = (_words_key(w), desc)
-            if key not in visited:
-                visited[key] = (w, desc)
-                queue.append(key)
-    done = 0
-    while queue:
-        key = queue.popleft()
-        if limit is not None and len(visited) > limit:
-            raise ResourceLimit("state cap %d exceeded" % limit,
-                                partial=len(visited))
-        words, desc = visited[key]
+    indices, base = _thin_words(n)
+
+    def neighbours(key, state):
+        words, desc = state
         st = SimpleState(indices, words)
         marked = st.face_of[st.flag_from_descriptor(desc)]
         marked_descs = st.face_descriptors(marked)
         for t, swaps, corners in st.triangles():
             if t == marked:
                 continue
-            survivor = next(d for d in marked_descs if d[1] not in corners)
+            survivor = next(d for d in marked_descs
+                            if d[1][0] not in corners)
             nw = _swap_words(indices, words, swaps)
-            nk = (_words_key(nw), min(_marked_face(indices, nw, survivor)))
-            if nk not in visited:
-                visited[nk] = (nw, survivor)
-                queue.append(nk)
-        done += 1
-        if progress and done % progress == 0:
-            print("  expanded %d, found %d, frontier %d"
-                  % (done, len(visited), len(queue)), flush=True)
-    return indices, visited
+            tag = min(_marked_face(indices, nw, survivor))
+            yield (_words_key(nw), tag), (nw, survivor)
+
+    return indices, _walk(_marked_seeds(indices, base), neighbours, limit,
+                          progress)
 
 
 # ---------------------------------------------------------------------------
@@ -665,29 +637,26 @@ def moebius_states(n, limit=None, progress=None):
 
 
 def _census_groups(indices):
-    from itertools import permutations, product
-    n = len(indices)
-    perms = list(permutations(indices))
-    signs = list(product((1, -1), repeat=n))
+    signs = list(product((1, -1), repeat=len(indices)))
     evens = [s for s in signs if s.count(-1) % 2 == 0]
     odds = [s for s in signs if s.count(-1) % 2 == 1]
+    ident, perms = [tuple(indices)], list(permutations(indices))
 
     def grp(ps, sgs):
-        return [W.SignedPermutation(dict(zip(indices, (s * v for v, s in zip(p, sg)))))
-                for p in ps for sg in sgs]
+        return list(W.signed_permutations(indices, ps, sgs))
 
     return {
-        "evens": grp([tuple(indices)], evens),
+        "evens": grp(ident, evens),
         "perm_evens": grp(perms, evens),
         "full": grp(perms, signs),
-        "odd_pure": grp([tuple(indices)], odds),
+        "odd_pure": grp(ident, odds),
     }
 
 
-def _acted_cycles(indices, cycles, sigma):
-    """Min-rotated cycles of the family acted on by ``sigma``, one at a
-    time; each block of ``len(indices)`` cycles is acted on alike."""
-    inv = sigma.inverse()
+def _acted_cycles(indices, cycles, sigma, inv):
+    """Min-rotated cycles of the family acted on by ``sigma`` (with
+    inverse ``inv``), one at a time; each block of ``len(indices)``
+    cycles is acted on alike."""
     n = len(indices)
     for b in range(0, len(cycles), n):
         for k in indices:
@@ -698,57 +667,63 @@ def _acted_cycles(indices, cycles, sigma):
             yield W.min_rotation(tuple(inv(x) for x in w))
 
 
-def _canonical_marked(indices, cycles, tags, group, transport):
+def _canonical_marked(indices, cycles, tags, group):
     """Minimum of (acted cycles, least transported tag) over ``group``; a
     permutation is dropped at the first cycle that exceeds the best."""
     best = None
     for sigma in group:
+        inv = sigma.inverse()
         tied = best is not None
         cand = []
-        for k, w in enumerate(_acted_cycles(indices, cycles, sigma)):
+        for k, w in enumerate(_acted_cycles(indices, cycles, sigma, inv)):
             if tied:
                 if w > best[0][k]:
                     break
                 tied = w == best[0][k]
             cand.append(w)
         else:
-            key = (tuple(cand), min(transport(sigma, d) for d in tags))
+            tag = min(transport_descriptor(inv, d) for d in tags)
+            key = (tuple(cand), tag)
             if best is None or key < best:
                 best = key
     return best
 
 
-def _class_key(indices, cycles, tags, group, odd_pure, transport):
+def _class_key(indices, cycles, tags, group, odd_pure):
     """Key of a marked state's class under ``group`` and the word-fixing
     members of ``odd_pure``."""
     family = [W.min_rotation(w) for w in cycles]
     for tau in odd_pure:
+        inv = tau.inverse()
         if all(a == b for a, b in
-               zip(_acted_cycles(indices, cycles, tau), family)):
-            tags = tags | {transport(tau, d) for d in tags}
+               zip(_acted_cycles(indices, cycles, tau, inv), family)):
+            tags = tags | {transport_descriptor(inv, d) for d in tags}
             break
-    return _canonical_marked(indices, cycles, tags, group, transport)
+    return _canonical_marked(indices, cycles, tags, group)
 
 
-def _phase_keys(indices, states, marked, transport, progress=None):
+def _phase_keys(indices, states, marked, progress=None):
     """Yield the a-, b- and c-keys of the census quotient, phase by phase.
 
     ``marked(state)`` gives a state's cycles and marked descriptor set.
     Phase a keys every state, b one state per a-class, c one per b-class;
-    the d-key of a class is the cycles part of its c-key.
+    the d-key of a class is the cycles part of its c-key.  With
+    ``progress`` it writes its phase lines to stderr.
     """
     g = _census_groups(indices)
     keys = states
     for phase, group in zip("abc", ("evens", "perm_evens", "full")):
         if progress:
-            print("phase %s over %d states" % (phase, len(keys)), flush=True)
+            print("phase %s over %d states" % (phase, len(keys)),
+                  file=sys.stderr, flush=True)
         out = {}
         for t, key in enumerate(keys):
             cycles, tags = marked(states[key])
             out[key] = _class_key(indices, cycles, tags, g[group],
-                                  g["odd_pure"], transport)
+                                  g["odd_pure"])
             if progress and t and t % progress == 0:
-                print("  %s %d/%d" % (phase, t, len(keys)), flush=True)
+                print("  %s %d/%d" % (phase, t, len(keys)),
+                      file=sys.stderr, flush=True)
         yield out
         reps = {}
         for key, ck in out.items():
@@ -772,12 +747,10 @@ def _moebius_classes(n, simple_only=True, limit=None, progress=None):
         def marked(state):
             words, desc = state
             return words, _marked_face(indices, words, desc)
-
-        transport = transport_descriptor
     else:
         indices, states = moebius_full_census(n, limit=limit)
-        marked, transport = _heavy_marked, transport_heavy_descriptor
-    a, b, c = _phase_keys(indices, states, marked, transport, progress)
+        marked = _heavy_marked
+    a, b, c = _phase_keys(indices, states, marked, progress)
     d = sorted({ck[0] for ck in c.values()})
     row = {"n": n, "a": len(set(a.values())), "b": len(set(b.values())),
            "c": len(set(c.values())), "d": len(d)}
@@ -805,8 +778,7 @@ def moebius_chirotope_counts(n, limit=None):
     On three indices these are the numbers of crosscap chirotopes.
     """
     indices, heavy = moebius_full_census(n, limit=limit)
-    a = next(_phase_keys(indices, heavy, _heavy_marked,
-                         transport_heavy_descriptor))
+    a = next(_phase_keys(indices, heavy, _heavy_marked))
     return {"n": n, "total": len(set(a.values())),
             "simple": len({ak for key, ak in a.items()
                            if heavy[key][0].is_simple()})}

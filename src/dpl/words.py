@@ -195,12 +195,7 @@ class SignedPermutation:
     @classmethod
     def all(cls, bases):
         """All n! * 2^n signed permutations of the given positive bases."""
-        bases = tuple(bases)
-        out = []
-        for perm in permutations(bases):
-            for signs in product((1, -1), repeat=len(bases)):
-                out.append(cls({b: s * p for b, p, s in zip(bases, perm, signs)}))
-        return out
+        return list(signed_permutations(bases))
 
     def __call__(self, s):
         v = self.images[abs(s)]
@@ -231,6 +226,23 @@ class SignedPermutation:
 
     def one_line(self):
         return tuple(self.images[k] for k in sorted(self.images))
+
+
+def signed_permutations(bases, perms=None, signs=None):
+    """Yield the signed permutations of ``bases`` that send each base to
+    its entry in a permutation of ``perms`` times its entry in a sign
+    vector of ``signs``, permutation by permutation; ``perms`` defaults
+    to every permutation and ``signs`` to every sign vector, in the order
+    of :func:`itertools.permutations` and :func:`itertools.product`."""
+    bases = tuple(bases)
+    if perms is None:
+        perms = permutations(bases)
+    if signs is None:
+        signs = list(product((1, -1), repeat=len(bases)))
+    for perm in perms:
+        for sg in signs:
+            yield SignedPermutation({b: s * p
+                                     for b, p, s in zip(bases, perm, sg)})
 
 
 def act_pair(sigma, pair):

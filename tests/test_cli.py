@@ -149,6 +149,16 @@ def test_enumerate_state_limit(capsys, monkeypatch):
     assert json.loads(out)["code"] == "resource-limit"
 
 
+def test_enumerate_state_limit_counts_the_seeds(capsys):
+    """The cap stops the walk among the 46,080 signed versions of the
+    six-curve seed, before it expands any state."""
+    code, out = run(capsys, "enumerate", "--n", "6", "--setting", "moebius",
+                    "--limit-states", "10")
+    assert code == 1
+    report = json.loads(out)
+    assert report["code"] == "resource-limit" and report["partial"] == 11
+
+
 def test_dot(capsys):
     code, out = run(capsys, "dot", "TwoCurve", "--graph", "dual")
     assert code == 0 and out.startswith("graph dual {")
@@ -186,6 +196,18 @@ def test_iso_marked(tmp_path, capsys):
     code, _ = run(capsys, "iso", str(tmp_path / "a.dpl"),
                   str(tmp_path / "b.dpl"), "--marked")
     assert code == 2
+
+    # the same cell, named through another curve
+    cx = arr.complex
+    cell = cx.face_at(1, 0, -1)
+    curve, arc = next((c, k) for c in (2, 3)
+                      for k in range(len(arr.node_cycles[c]))
+                      if cx.face_at(c, k, -1) == cell)
+    (tmp_path / "d.dpl").write_text(body + "mark: %d %d disk\n" % (curve, arc))
+    code, out = run(capsys, "iso", str(tmp_path / "a.dpl"),
+                    str(tmp_path / "d.dpl"),
+                    "--indexed", "--oriented", "--marked")
+    assert code == 0 and json.loads(out)["isomorphic"]
 
 
 def test_enumerate_moebius_emit_classes(tmp_path, capsys):

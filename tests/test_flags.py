@@ -258,7 +258,8 @@ class TestSidesAndAdmissibleCells:
                 best = None
                 for sigma in stabilizer(arr):
                     wk = tuple(min_rotation(w) for w in act_words(sigma, idx, words))
-                    tk = min(transport_descriptor(sigma, d) for d in tags[t])
+                    tk = min(transport_descriptor(sigma.inverse(), d)
+                             for d in tags[t])
                     cand = (wk, tk)
                     if best is None or cand < best:
                         best = cand

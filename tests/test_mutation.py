@@ -10,8 +10,6 @@ from dpl.mutation import (
     SimpleState,
     _census_groups,
     _class_key,
-    _heavy_descs,
-    _heavy_lookup,
     _heavy_marked,
     _marked_face,
     _phase_keys,
@@ -23,12 +21,12 @@ from dpl.mutation import (
     inverse_split,
     moebius_census,
     moebius_census_rows,
+    moebius_full_census,
     moebius_simple_census,
     moebius_states,
     projective_census,
     pumping_check,
     transport_descriptor,
-    transport_heavy_descriptor,
     triangles,
 )
 
@@ -181,14 +179,15 @@ def reference_marked_classes(indices, tagsets, group, odd_pure):
         wk = _words_key(words)
         for sigma in group:
             nw = act_words(sigma, indices, words)
-            nk = (_words_key(nw),
-                  min(transport_descriptor(sigma, d) for d in tags))
+            nk = (_words_key(nw), min(transport_descriptor(sigma.inverse(), d)
+                                      for d in tags))
             if nk in tagsets:
                 uf.union(key, nk)
         for sigma in odd_pure:
             if _words_key(act_words(sigma, indices, words)) != wk:
                 continue
-            nk = (wk, min(transport_descriptor(sigma, d) for d in tags))
+            nk = (wk, min(transport_descriptor(sigma.inverse(), d)
+                          for d in tags))
             if nk in tagsets:
                 uf.union(key, nk)
     return uf.count()
@@ -204,7 +203,8 @@ def reference_heavy_classes(heavy, group, odd_pure):
             ak = arr.acted_key(sigma)
             if sigma in odd_pure and ak != wk:
                 continue
-            nk = (ak, min(transport_heavy_descriptor(sigma, d) for d in tags))
+            nk = (ak, min(transport_descriptor(sigma.inverse(), d)
+                          for d in tags))
             if nk in heavy:
                 uf.union(key, nk)
     return uf.count()
@@ -213,20 +213,19 @@ def reference_heavy_classes(heavy, group, odd_pure):
 @pytest.fixture(scope="module")
 def lifted():
     """The marked simple states of ``moebius_states(3)`` as heavy states:
-    validated arrangements with node descriptors of the marked cell."""
+    validated arrangements with the descriptors of the marked cell."""
     indices, states = moebius_states(3)
     heavy = {}
-    for words, (i, pair, eps, side) in states.values():
+    for words, desc in states.values():
         arr = from_disk_only(dict(zip(indices, words)))
         cx = arr.complex
-        f = _heavy_lookup(cx, (i, (pair,), eps, side))
-        tags = _heavy_descs(cx, cx.face_of[f])
+        tags = cx.face_descriptors(cx.face_of[cx.flag_from_descriptor(desc)])
         heavy[(arr.key(), min(tags))] = (arr, tags)
     return indices, states, heavy
 
 
-def phase_counts(indices, states, marked, transport):
-    a, b, c = _phase_keys(indices, states, marked, transport)
+def phase_counts(indices, states, marked):
+    a, b, c = _phase_keys(indices, states, marked)
     return (len(set(a.values())), len(set(b.values())),
             len(set(c.values())), len({ck[0] for ck in c.values()}))
 
@@ -275,8 +274,8 @@ class TestMoebiusCensus:
         indices, states, heavy = lifted
         assert len(heavy) == len(states) == 472
         g = _census_groups(indices)
-        assert phase_counts(indices, heavy, _heavy_marked,
-                            transport_heavy_descriptor) == (118, 22, 16, 12)
+        assert phase_counts(indices, heavy, _heavy_marked) \
+            == (118, 22, 16, 12)
         assert (reference_heavy_classes(heavy, g["evens"], g["odd_pure"]),
                 reference_heavy_classes(heavy, g["perm_evens"],
                                         g["odd_pure"]),
@@ -301,7 +300,7 @@ class TestClassKeyInvariance:
 
     GROUPS = ("evens", "perm_evens", "full")
 
-    def check(self, indices, states, act, transport):
+    def check(self, indices, states, act):
         g = _census_groups(indices)
         rng = random.Random(8)
         images = 0
@@ -309,11 +308,11 @@ class TestClassKeyInvariance:
             taus = _odd_wordfixing(indices, cycles, g["odd_pure"])
             for phase in self.GROUPS:
                 key = _class_key(indices, cycles, tags, g[phase],
-                                 g["odd_pure"], transport)
+                                 g["odd_pure"])
                 for sigma in [rng.choice(g[phase])] + taus:
                     acted = act(sigma, cycles, tags)
                     assert _class_key(indices, *acted, g[phase],
-                                      g["odd_pure"], transport) == key
+                                      g["odd_pure"]) == key
                     images += 1
         # at least one state has a word-fixing odd sign change
         assert images > len(self.GROUPS) * len(states)
@@ -325,13 +324,14 @@ class TestClassKeyInvariance:
 
         def act(sigma, words, tags):
             nw = act_words(sigma, indices, words)
-            ntags = frozenset(transport_descriptor(sigma, d) for d in tags)
+            inv = sigma.inverse()
+            ntags = frozenset(transport_descriptor(inv, d) for d in tags)
             assert _marked_face(indices, nw, min(ntags)) == ntags
             return nw, ntags
 
         picked = [(states[k][0], _marked_face(indices, *states[k]))
                   for k in sample]
-        self.check(indices, picked, act, transport_descriptor)
+        self.check(indices, picked, act)
 
     def test_heavy_states(self, lifted):
         """Lifted states, and non-simple ones: every admissible cell of
@@ -345,7 +345,7 @@ class TestClassKeyInvariance:
             merged = apply_move(arr, MutationMove("merge", t, m))
             assert not merged.is_simple()
             cx = merged.complex
-            picked += [_heavy_marked((merged, _heavy_descs(cx, c)))
+            picked += [_heavy_marked((merged, cx.face_descriptors(c)))
                        for c in cx.admissible_cells()]
         assert len(picked) > 40
 
@@ -353,14 +353,41 @@ class TestClassKeyInvariance:
             n = len(indices)
             arr = validate(dict(zip(indices, cycles[:n])),
                            dict(zip(indices, cycles[n:]))).act(sigma)
-            ntags = frozenset(transport_heavy_descriptor(sigma, d)
-                              for d in tags)
+            inv = sigma.inverse()
+            ntags = frozenset(transport_descriptor(inv, d) for d in tags)
             cx = arr.complex
-            f = _heavy_lookup(cx, min(ntags))
-            assert _heavy_descs(cx, cx.face_of[f]) == ntags
+            f = cx.flag_from_descriptor(min(ntags))
+            assert cx.face_descriptors(cx.face_of[f]) == ntags
             return _heavy_marked((arr, ntags))
 
-        self.check(indices, picked, act, transport_heavy_descriptor)
+        self.check(indices, picked, act)
+
+
+class TestWalk:
+    @pytest.mark.parametrize("walk, n", [
+        (projective_census, 3), (moebius_simple_census, 4),
+        (moebius_states, 5), (moebius_full_census, 4)])
+    def test_state_cap_counts_the_seeds(self, walk, n):
+        """A walk stops when it stores one state past the cap, seeds
+        included."""
+        with pytest.raises(ResourceLimit) as exc:
+            walk(n, limit=10)
+        assert exc.value.details["partial"] == 11
+
+    def test_state_cap_boundary(self):
+        """A walk raises exactly when it finds more than ``limit`` states."""
+        assert len(moebius_states(3, limit=472)[1]) == 472
+        with pytest.raises(ResourceLimit) as exc:
+            moebius_states(3, limit=471)
+        assert exc.value.details["partial"] == 472
+
+    def test_progress_goes_to_stderr(self, capsys):
+        moebius_census_rows(3, progress=100)
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert sum(line.startswith("expanded ") for line in lines) >= 4
+        assert sum(line.startswith("phase ") for line in lines) == 3
 
 
 class TestFlipBookkeeping:
@@ -379,7 +406,8 @@ class TestFlipBookkeeping:
 
 class TestOneFlagStructure:
     def test_simple_state_matches_flag_complex(self):
-        """The census engine's flag arrays are the validated complex's."""
+        """The census engine's flag arrays and flag descriptors are the
+        validated complex's."""
         cen = projective_census(3)
         arrs = [from_disk_only(dict(zip(cen["indices"], w)))
                 for w in cen["indexed_classes"].values()]
@@ -395,6 +423,24 @@ class TestOneFlagStructure:
             assert (st.s0, st.s1, st.s2) == (cx.sigma0, cx.sigma1, cx.sigma2)
             assert st.faces == cx.faces and st.face_of == cx.face_of
             assert st.face_sides() == list(cx.face_sides)
+            for t in range(len(cx.faces)):
+                assert st.face_descriptors(t) == cx.face_descriptors(t)
+            for f in range(len(cx.flags)):
+                assert st.flag_from_descriptor(st.descriptor(f)) == f
+                assert cx.flag_from_descriptor(cx.descriptor(f)) == f
+
+    def test_flag_complex_descriptors_round_trip(self):
+        """At multiple vertices too: the catalog includes non-simple
+        arrangements."""
+        arrs = [fx.arrangement for fx in catalog.all()]
+        assert not all(arr.is_simple() for arr in arrs)
+        for arr in arrs:
+            cx = arr.complex
+            for f in range(len(cx.flags)):
+                assert cx.flag_from_descriptor(cx.descriptor(f)) == f
+            for t, face in enumerate(cx.faces):
+                assert {cx.flag_from_descriptor(d)
+                        for d in cx.face_descriptors(t)} == set(face)
 
 
 def reference_releases(arr, node, m):

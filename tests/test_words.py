@@ -110,6 +110,22 @@ class TestSignedPermutation:
         with pytest.raises(MalformedWord):
             W.SignedPermutation({1: 2, 2: 2})
 
+    def test_signed_permutations_order(self):
+        """Permutation-major, sign vectors in ``product`` order; a choice
+        of permutations and sign vectors keeps that order."""
+        bases = (1, 2, 3)
+        full = W.SignedPermutation.all(bases)
+        assert [s.one_line() for s in full[:3]] == [
+            (1, 2, 3), (1, 2, -3), (1, -2, 3)]
+        assert full[8].one_line() == (1, 3, 2)
+        assert len(set(full)) == 48
+        evens = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+        perms = [(2, 1, 3), (3, 2, 1)]
+        got = list(W.signed_permutations(bases, perms, evens))
+        assert got == [s for s in full
+                       if tuple(abs(m) for m in s.one_line()) in perms
+                       and sum(m < 0 for m in s.one_line()) % 2 == 0]
+
 
 class TestActionOnArrangements:
     def test_group_action_law(self):
