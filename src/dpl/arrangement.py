@@ -489,6 +489,8 @@ def parse_text(text):
         if not line:
             continue
         if line.startswith("indices:"):
+            if indices is not None:
+                raise FormatError("repeated 'indices:' header: %r" % raw)
             try:
                 indices = [int(t) for t in line[len("indices:"):].split()]
             except ValueError as exc:
@@ -503,7 +505,10 @@ def parse_text(text):
             letters = tuple(int(t) for t in body.split())
         except ValueError as exc:
             raise FormatError("unparseable line: %r" % raw) from exc
-        (disk if kind == "D" else crosscap)[i] = letters
+        side = disk if kind == "D" else crosscap
+        if i in side:
+            raise FormatError("repeated %s %d line: %r" % (kind, i, raw))
+        side[i] = letters
     if indices is None:
         raise FormatError("missing 'indices:' header")
     if set(disk) != set(indices):

@@ -8,8 +8,10 @@ at size five is the transitivity of the per-carrier ternary relations read
 off the 4-subset cycles.
 """
 
+from functools import cache, cmp_to_key
 from itertools import combinations, product
 
+from . import catalog
 from . import words as W
 from .arrangement import (
     _D_ANCHOR,
@@ -23,7 +25,6 @@ from .errors import (
     DplError,
     FormatError,
     NoArrangement,
-    NotTotal,
     NotTransitive,
     TooFewIndices,
 )
@@ -32,26 +33,28 @@ from .errors import (
 # naming of triple classes
 
 
-_NAME_TABLE = None
+@cache
+def _reference(name):
+    """The catalog class ``name`` on indices 1, 2, 3, read once."""
+    ref = catalog.arrangement(name)
+    if ref.indices != (1, 2, 3):
+        raise FormatError("%s is not a three-curve class" % name)
+    return ref
 
 
+@cache
 def _name_table():
     """Canonical words on (1,2,3) -> (class name, signed images)."""
-    global _NAME_TABLE
-    if _NAME_TABLE is None:
-        from . import catalog
-        table = {}
-        for name in catalog.THIRTEEN:
-            ref = catalog.arrangement(name)
-            for sigma in W.SignedPermutation.all((1, 2, 3)):
-                images = tuple(sigma.inverse()(r) for r in (1, 2, 3))
-                ver = ref.act(sigma)
-                key = ver.key()
-                prev = table.get(key)
-                if prev is None or (prev[0] == name and images < prev[1]):
-                    table[key] = (name, images)
-        _NAME_TABLE = table
-    return _NAME_TABLE
+    table = {}
+    for name in catalog.THIRTEEN:
+        ref = _reference(name)
+        for sigma in W.SignedPermutation.all((1, 2, 3)):
+            images = tuple(sigma.inverse()(r) for r in (1, 2, 3))
+            key = ref.acted_key(sigma)
+            prev = table.get(key)
+            if prev is None or (prev[0] == name and images < prev[1]):
+                table[key] = (name, images)
+    return table
 
 
 def class_version(name, images):
@@ -61,11 +64,10 @@ def class_version(name, images):
     {1, 3, 5} whose letters substitute 1 -> 1, 2 -> 5, 3 -> 3; a negative
     image reorients the curve.
     """
-    from . import catalog
     if len(images) != 3 or len({abs(t) for t in images}) != 3 or 0 in images:
         raise FormatError("class %s needs three distinct nonzero images, "
                           "got %r" % (name, tuple(images)))
-    ref = catalog.arrangement(name)
+    ref = _reference(name)
     sub = dict(zip((1, 2, 3), images))
 
     def rl(x):
@@ -322,38 +324,17 @@ def extensions4(chi, genus_one=True):
 # relations of the five-index axiom
 
 
-class TernaryRelation:
-    """Cyclic precedence of same-carrier crossing pairs, read off the
-    extensions of the subsets of size up to four."""
-
-    def __init__(self, carrier, flavor, cycles):
-        self.carrier = carrier
-        self.flavor = flavor          # "D" or "M"
-        self._cycles = cycles         # frozenset of bases -> slotted cycle
-
-    def symbols(self):
-        out = []
-        for bases, cyc in self._cycles.items():
-            if len(bases) == 1:
-                out.extend(cyc)
-        return sorted(set(out))
-
-    def holds(self, alpha, beta, gamma):
-        """Do the three distinct pairs appear in this cyclic order?"""
-        bases = frozenset(abs(W.co_index(p, self.carrier))
-                          for p in (alpha, beta, gamma))
-        cyc = self._cycles[bases]
-        pos = {p: t for t, p in enumerate(cyc)}
-        x, y, z = pos[alpha], pos[beta], pos[gamma]
-        return (y - x) % len(cyc) < (z - x) % len(cyc)
-
-
 def relations_from(chi, genus_one=True):
-    """Per-carrier ternary and block relations; verifies the axioms.
+    """Per-carrier cyclic orders and block partners; verifies the axioms.
 
-    Returns ``{(carrier, flavor): TernaryRelation}`` together with the
-    block partners; raises NotTotal/NotTransitive/BlockInconsistent with a
-    witness subset on failure.
+    The crossing pairs of carrier ``i`` on side ``flavor`` ("D" or "M") are
+    related three at a time by the slotted cycle over their co-indices: the
+    4-subset extension for three co-indices, the triple entry for two, the
+    slots 1..4 for one.  The order starts at the least pair and sorts the
+    rest by "x before y after the least pair"; every triple must then agree
+    with it.  Returns ``{(carrier, flavor): order}``, each order a tuple of
+    pairs, together with the block partners; raises NotTransitive or
+    BlockInconsistent with a witness subset on failure.
     """
     ext4 = {}
     for J in combinations(chi.indices, 4):
@@ -364,64 +345,51 @@ def relations_from(chi, genus_one=True):
             raise NoArrangement("ambiguous extension on %r" % (J,), subset=J)
         ext4[frozenset(J)] = sols[0]
 
-    rels = {}
+    orders = {}
     blocks = {}
     for i in chi.indices:
         cos = [x for x in chi.indices if x != i]
+        syms = sorted(W.pair_of(i, b, s) for b in cos for s in (1, 2, 3, 4))
+        co = {p: abs(W.co_index(p, i)) for p in syms}
         for flavor in "DM":
+            sel = 0 if flavor == "D" else 1
             anchor = _D_ANCHOR if flavor == "D" else _M_ANCHOR
-            cycles = {}
+            words = {}
             for bases in combinations(cos, 3):
                 arr = ext4[frozenset((i,) + bases)]
-                word = arr.disk[i] if flavor == "D" else arr.crosscap[i]
-                cycles[frozenset(bases)] = _slot_positions(word, i, anchor)
+                words[frozenset(bases)] = (arr.disk[i], arr.crosscap[i])[sel]
             for bases in combinations(cos, 2):
-                fam = chi.entry((i,) + bases)[i]
-                word = fam[0] if flavor == "D" else fam[1]
-                cycles[frozenset(bases)] = _slot_positions(word, i, anchor)
+                words[frozenset(bases)] = chi.entry((i,) + bases)[i][sel]
+            pos = {bases: {p: t for t, p in
+                           enumerate(_slot_positions(word, i, anchor))}
+                   for bases, word in words.items()}
             for b in cos:
-                cycles[frozenset((b,))] = tuple(
-                    W.pair_of(i, b, s) for s in (1, 2, 3, 4))
-            rels[(i, flavor)] = TernaryRelation(i, flavor, cycles)
-            if flavor == "D":
-                partner = {}
-                for bases in combinations(cos, 2):
-                    arr = chi.entry_arrangement((i,) + bases)
-                    for block in arr.blocks(i):
-                        for a, b in zip(block, block[1:]):
-                            partner.setdefault(a, set()).add(b)
-                blocks[i] = partner
-    _verify_relations(chi, rels, blocks)
-    return rels, blocks
+                pos[frozenset((b,))] = {W.pair_of(i, b, s): s - 1
+                                        for s in (1, 2, 3, 4)}
 
+            def holds(a, b, c):
+                return _cyclic_before(pos[frozenset((co[a], co[b], co[c]))],
+                                      a, b, c)
 
-def _verify_relations(chi, rels, blocks):
-    for (i, flavor), rel in rels.items():
-        syms = rel.symbols()
-        for alpha, beta, gamma in combinations(syms, 3):
-            fwd = rel.holds(alpha, beta, gamma)
-            bwd = rel.holds(alpha, gamma, beta)
-            if fwd == bwd:
-                raise NotTotal(
-                    "relation of carrier %d not total" % i,
-                    carrier=i, flavor=flavor,
-                    witness=sorted({i} | {abs(W.co_index(p, i))
-                                          for p in (alpha, beta, gamma)}))
-        anchor = syms[0]
-        rest = sorted(syms[1:],
-                      key=_cmp_key(rel, anchor))
-        order = [anchor] + rest
-        pos = {p: t for t, p in enumerate(order)}
-        for alpha, beta, gamma in combinations(syms, 3):
-            expected = _cyclic_before(pos, alpha, beta, gamma)
-            if rel.holds(alpha, beta, gamma) != expected:
-                raise NotTransitive(
-                    "relation of carrier %d not transitive" % i,
-                    carrier=i, flavor=flavor,
-                    witness=sorted({i, abs(W.co_index(anchor, i))}
-                                   | {abs(W.co_index(p, i))
-                                      for p in (alpha, beta, gamma)}))
-        rel.order = tuple(order)
+            # total by construction: a cycle's pairs sit at distinct positions
+            first = syms[0]
+            order = (first,) + tuple(sorted(syms[1:], key=cmp_to_key(
+                lambda x, y: -1 if holds(first, x, y) else 1)))
+            at = {p: t for t, p in enumerate(order)}
+            for a, b, c in combinations(syms, 3):
+                if holds(a, b, c) != _cyclic_before(at, a, b, c):
+                    raise NotTransitive(
+                        "relation of carrier %d not transitive" % i,
+                        carrier=i, flavor=flavor,
+                        witness=sorted({i, co[first], co[a], co[b], co[c]}))
+            orders[(i, flavor)] = order
+        partner = {}
+        for bases in combinations(cos, 2):
+            arr = chi.entry_arrangement((i,) + bases)
+            for block in arr.blocks(i):
+                for a, b in zip(block, block[1:]):
+                    partner.setdefault(a, set()).add(b)
+        blocks[i] = partner
     for i, partner in blocks.items():
         for a, succs in partner.items():
             for b in succs:
@@ -430,21 +398,13 @@ def _verify_relations(chi, rels, blocks):
                         raise BlockInconsistent(
                             "block relation of carrier %d not transitive" % i,
                             carrier=i)
+    return orders, blocks
 
 
-def _cmp_key(rel, anchor):
-    import functools
-
-    def cmp(x, y):
-        if x == y:
-            return 0
-        return -1 if rel.holds(anchor, x, y) else 1
-
-    return functools.cmp_to_key(cmp)
-
-
-def _cyclic_before(pos, alpha, beta, gamma):
-    x, y, z = pos[alpha], pos[beta], pos[gamma]
+def _cyclic_before(pos, a, b, c):
+    """Do ``a``, ``b``, ``c`` lie in this cyclic order under the position
+    map ``pos`` of one cycle?"""
+    x, y, z = pos[a], pos[b], pos[c]
     n = len(pos)
     return (y - x) % n < (z - x) % n
 
@@ -481,10 +441,10 @@ def reconstruct(chi, genus_one=True, all_solutions=False):
 
 
 def _reconstruct_big(chi, genus_one):
-    rels, blocks = relations_from(chi, genus_one=genus_one)
+    orders, blocks = relations_from(chi, genus_one=genus_one)
     disk, cross = {}, {}
     for i in chi.indices:
-        order = rels[(i, "D")].order
+        order = orders[(i, "D")]
         partner = blocks[i]
         word = [abs(W.co_index(p, i)) *
                 (1 if W.carrier_part(p, i) > 0 else -1) for p in order]
@@ -546,12 +506,16 @@ def parse_chirotope(text):
         if not line:
             continue
         if line.startswith("indices:"):
+            if indices is not None:
+                raise FormatError("repeated 'indices:' header: %r" % raw)
             indices = _ints(line[len("indices:"):], raw)
             continue
         if not line.startswith("chi "):
             raise FormatError("unparseable line: %r" % raw)
         head, _, body = line[4:].partition(":")
         J = tuple(_ints(head, raw))
+        if frozenset(J) in entries:
+            raise FormatError("repeated entry on %r: %r" % (J, raw))
         body = body.strip()
         if "(" in body and body.endswith(")"):
             name, _, args = body[:-1].partition("(")
@@ -566,7 +530,10 @@ def parse_chirotope(text):
                 if not eq or kind[:1] not in ("D", "M") or len(idx) != 1:
                     raise FormatError("unparseable entry %r in line %r"
                                       % (part.strip(), raw))
-                fam.setdefault(idx[0], {})[kind[0]] = tuple(_ints(letters, raw))
+                sides = fam.setdefault(idx[0], {})
+                if kind[0] in sides:
+                    raise FormatError("repeated %s in line %r" % (kind, raw))
+                sides[kind[0]] = tuple(_ints(letters, raw))
             if any("D" not in v for v in fam.values()):
                 raise FormatError("entry without a disk cycle: %r" % raw)
             disk = {i: v["D"] for i, v in fam.items()}

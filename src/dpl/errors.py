@@ -58,10 +58,6 @@ class GenusNotOne(DplError):
     code = "genus-not-one"
 
 
-class NotTotal(DplError):
-    code = "not-total"
-
-
 class NotTransitive(DplError):
     code = "not-transitive"
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dpl import all_c64, catalog, chirotope, cyclic_thin
 from dpl import words as W
+from dpl.arrangement import _D_ANCHOR, _M_ANCHOR, _slot_positions
 from dpl.chirotope import (
     Chirotope,
     _merge_words,
@@ -21,21 +22,34 @@ from dpl.chirotope import (
     reconstruct,
     relations_from,
 )
-from dpl.errors import DplError, NoArrangement, NotTransitive, TooFewIndices
+from dpl.errors import (
+    BlockInconsistent,
+    DplError,
+    NoArrangement,
+    NotTransitive,
+    TooFewIndices,
+)
 from dpl.mutation import MutationMove, apply_move, triangles
 
 
-def all_c04_on_five():
+def c04_versions_on_five(mask):
+    """The five-index chirotope whose triple ``J`` (the ``t``-th in
+    lexicographic order) is the C04 version with images ``J``, or with the
+    last two images swapped when bit ``t`` of ``mask`` is set; these are the
+    two C04 versions on each triple."""
     entries = {}
-    for J, im in [((1, 2, 3), (1, 2, 3)), ((1, 2, 4), (1, 2, 4)),
-                  ((1, 2, 5), (1, 2, 5)), ((1, 3, 4), (1, 3, 4)),
-                  ((1, 4, 5), (1, 4, 5)), ((2, 3, 4), (2, 3, 4)),
-                  ((2, 4, 5), (2, 4, 5)), ((3, 4, 5), (3, 4, 5)),
-                  ((1, 3, 5), (1, 5, 3)), ((2, 3, 5), (2, 5, 3))]:
-        arr = class_version("C04", im)
+    for t, J in enumerate(combinations(range(1, 6), 3)):
+        images = (J[0], J[2], J[1]) if mask >> t & 1 else J
+        arr = class_version("C04", images)
         entries[frozenset(J)] = {i: (arr.disk[i], arr.crosscap[i])
                                  for i in arr.indices}
     return Chirotope(entries)
+
+
+def all_c04_on_five():
+    """The C04 versions of ``allC04_n5.chi``: images swapped on the
+    triples (1, 3, 5) and (2, 3, 5)."""
+    return c04_versions_on_five(1 << 4 | 1 << 7)
 
 
 def all_c04_file():
@@ -69,6 +83,85 @@ def reference_merge_words(base, insert, want_pairs):
             if ok:
                 out.add(W.min_rotation(tuple(word)))
     return sorted(out)
+
+
+def reference_relations_from(chi, genus_one=True):
+    """The relation check before its rewrite: a relation object per
+    carrier and side that rebuilds a position map of the slotted cycle
+    for every triple it is asked about, and a totality pass."""
+    ext4 = {}
+    for J in combinations(chi.indices, 4):
+        sols = chi._extensions_on(J, genus_one)
+        if not sols:
+            raise NoArrangement("no extension on %r" % (J,), subset=J)
+        if len(sols) > 1:
+            raise NoArrangement("ambiguous extension on %r" % (J,), subset=J)
+        ext4[frozenset(J)] = sols[0]
+    rels, blocks = {}, {}
+    for i in chi.indices:
+        cos = [x for x in chi.indices if x != i]
+        for flavor in "DM":
+            anchor = _D_ANCHOR if flavor == "D" else _M_ANCHOR
+            cycles = {}
+            for bases in combinations(cos, 3):
+                arr = ext4[frozenset((i,) + bases)]
+                word = arr.disk[i] if flavor == "D" else arr.crosscap[i]
+                cycles[frozenset(bases)] = _slot_positions(word, i, anchor)
+            for bases in combinations(cos, 2):
+                fam = chi.entry((i,) + bases)[i]
+                word = fam[0] if flavor == "D" else fam[1]
+                cycles[frozenset(bases)] = _slot_positions(word, i, anchor)
+            for b in cos:
+                cycles[frozenset((b,))] = tuple(
+                    W.pair_of(i, b, s) for s in (1, 2, 3, 4))
+            rels[(i, flavor)] = cycles
+            if flavor == "D":
+                partner = {}
+                for bases in combinations(cos, 2):
+                    arr = chi.entry_arrangement((i,) + bases)
+                    for block in arr.blocks(i):
+                        for a, b in zip(block, block[1:]):
+                            partner.setdefault(a, set()).add(b)
+                blocks[i] = partner
+
+    def before(order, alpha, beta, gamma):
+        pos = {p: t for t, p in enumerate(order)}
+        x, y, z = pos[alpha], pos[beta], pos[gamma]
+        return (y - x) % len(order) < (z - x) % len(order)
+
+    orders = {}
+    for (i, flavor), cycles in rels.items():
+        def holds(alpha, beta, gamma):
+            bases = frozenset(abs(W.co_index(p, i))
+                              for p in (alpha, beta, gamma))
+            return before(cycles[bases], alpha, beta, gamma)
+
+        syms = sorted({p for bases, cyc in cycles.items()
+                       if len(bases) == 1 for p in cyc})
+        for alpha, beta, gamma in combinations(syms, 3):
+            assert holds(alpha, beta, gamma) != holds(alpha, gamma, beta)
+        anchor = syms[0]
+        rest = sorted(syms[1:], key=functools.cmp_to_key(
+            lambda x, y: 0 if x == y else -1 if holds(anchor, x, y) else 1))
+        order = tuple([anchor] + rest)
+        for alpha, beta, gamma in combinations(syms, 3):
+            if holds(alpha, beta, gamma) != before(order, alpha, beta, gamma):
+                raise NotTransitive(
+                    "relation of carrier %d not transitive" % i,
+                    carrier=i, flavor=flavor,
+                    witness=sorted({i, abs(W.co_index(anchor, i))}
+                                   | {abs(W.co_index(p, i))
+                                      for p in (alpha, beta, gamma)}))
+        orders[(i, flavor)] = order
+    for i, partner in blocks.items():
+        for a, succs in partner.items():
+            for b in succs:
+                for c in partner.get(b, ()):
+                    if c not in partner.get(a, set()) and c != a:
+                        raise BlockInconsistent(
+                            "block relation of carrier %d not transitive" % i,
+                            carrier=i)
+    return orders, blocks
 
 
 @functools.cache
@@ -135,6 +228,26 @@ class TestEntries:
         with pytest.raises(TooFewIndices):
             chirotope_of(catalog.arrangement("TwoCurve"))
 
+    def test_name_table_matches_acted_arrangements(self):
+        table = {}
+        for name in catalog.THIRTEEN:
+            ref = catalog.arrangement(name)
+            for sigma in W.SignedPermutation.all((1, 2, 3)):
+                images = tuple(sigma.inverse()(r) for r in (1, 2, 3))
+                key = ref.act(sigma).key()
+                prev = table.get(key)
+                if prev is None or (prev[0] == name and images < prev[1]):
+                    table[key] = (name, images)
+        assert len(table) == 216
+        assert chirotope._name_table() == table
+
+    def test_three_curve_fixtures_name_entries(self):
+        for name in ("Upsilon", "UpsilonSplit", "TripleMartagon"):
+            text = "indices: 1 2 3\nchi 1 2 3: %s(1 2 3)\n" % name
+            chi = parse_chirotope(text)
+            assert chi.entry_arrangement((1, 2, 3)).key() \
+                == catalog.arrangement(name).key()
+
 
 class TestInjectivity:
     def test_injective_over_indexed_three_classes(self):
@@ -199,11 +312,36 @@ class TestAxiomCheck:
 
     def test_valid_five_curve_relations(self):
         chi = chirotope_of(cyclic_thin(5))
-        rels, blocks = relations_from(chi)
-        assert set(rels) == {(i, X) for i in range(1, 6) for X in "DM"}
-        # existence witness: all relations total, transitive, sortable
-        for rel in rels.values():
-            assert len(rel.order) == 16
+        orders, blocks = relations_from(chi)
+        assert set(orders) == {(i, X) for i in range(1, 6) for X in "DM"}
+        # existence witness: every relation is a cyclic order of the
+        # carrier's 16 crossing pairs
+        for (i, _), order in orders.items():
+            assert sorted(order) == sorted(
+                W.pair_of(i, b, s) for b in range(1, 6) if b != i
+                for s in (1, 2, 3, 4))
+
+    def test_relations_match_reference(self):
+        def outcome(relations, chi, genus_one):
+            try:
+                return relations(chi, genus_one=genus_one)
+            except DplError as exc:
+                return type(exc), str(exc), exc.report()
+
+        ct6 = chirotope_of(cyclic_thin(6))
+        c64 = chirotope_of(all_c64(5))
+        corpus = [(c04_versions_on_five(mask), True)
+                  for mask in random.Random(10).sample(range(1024), 16)]
+        corpus += [(all_c04_file(), True), (c64, False), (c64, True),
+                   (chirotope_of(cyclic_thin(7)), True)]
+        corpus += [(ct6.restriction(J), True)
+                   for J in combinations(ct6.indices, 5)]
+        codes = set()
+        for chi, genus_one in corpus:
+            got = outcome(relations_from, chi, genus_one)
+            assert got == outcome(reference_relations_from, chi, genus_one)
+            codes.add(got[2]["code"] if len(got) == 3 else "accepted")
+        assert {"accepted", "not-transitive"} <= codes
 
     def test_enumerated_arrangements_are_k_chirotopes(self):
         for arr in (cyclic_thin(4), cyclic_thin(5),
@@ -323,7 +461,8 @@ CHI_TEXTS = [chirotope_text(chirotope_of(catalog.arrangement(name)))
 CHI_TOKENS = st.one_of(st.integers(-3, 5).map(str),
                        st.sampled_from(["x", ":", "|", "=", "(", ")", "",
                                         "chi", "indices:", "D1=", "M2=",
-                                        "C04(1", "C64(2 -1 3)", "\n"]))
+                                        "C04(1", "C64(2 -1 3)", "M1(1 2 3)",
+                                        "TwoCurve(1 2 3)", "\n"]))
 
 
 @st.composite

@@ -275,6 +275,16 @@ def test_iso_marked_rejects_bad_mark(tmp_path, capsys, mark, want):
     ("validate", "indices: 1 x\nD 1: -2 -2 2 2\nD 2: -1 -1 1 1\n"),
     ("validate", "indices: 2 -2\nD 2:\nD -2: -2 -2 2 2\n"),
     ("check", "indices: 1 2 3\nchi 1 2 3: C04(1 2)\n"),
+    # a repeated line is an error, not overwritten by the last one
+    ("validate", "indices: 1 2\nindices: 1 2\nD 1: -2 -2 2 2\n"
+                 "D 2: -1 -1 1 1\n"),
+    ("validate", "indices: 1 2\nD 1: 9 9 9\nD 1: -2 -2 2 2\n"
+                 "D 2: -1 -1 1 1\n"),
+    ("validate", "indices: 1 2\nD 1: -2 -2 2 2\nD 2: -1 -1 1 1\n"
+                 "M 1: 9 9 9\nM 1: 2 2 -2 -2\nM 2: 1 1 -1 -1\n"),
+    ("check", "indices: 1 2 3\nindices: 1 2 3\nchi 1 2 3: C04(1 2 3)\n"),
+    ("check", "indices: 1 2 3\nchi 1 2 3: C64(1 2 3)\n"
+              "chi 1 2 3: C04(1 2 3)\n"),
 ])
 def test_malformed_file_is_a_format_error(tmp_path, capsys, verb, text):
     path = tmp_path / "bad"
@@ -291,6 +301,17 @@ def test_malformed_file_is_a_format_error(tmp_path, capsys, verb, text):
     "Q1=2 2",
     "M1=-2 -2 2 2 -3 -3 3 3 | M2=1 1 -1 -1 3 3 -3 -3 | M3=1 1 -1 -1 2 2 -2 -2",
     "C04",
+    # catalog fixtures that are not three-curve classes
+    "M1(1 2 3)",
+    "TwoCurve(1 2 3)",
+    "AllC64_4(1 2 3)",
+    # a repeated part of one entry
+    "D1=2 2 3 3 -2 -2 -3 -3 | D1=2 2 3 3 -2 -2 -3 -3 | "
+    "D2=3 3 1 1 -3 -3 -1 -1 | D3=1 1 2 2 -1 -1 -2 -2",
+    "D1=2 2 3 3 -2 -2 -3 -3 | D2=3 3 1 1 -3 -3 -1 -1 | "
+    "D3=1 1 2 2 -1 -1 -2 -2 | M1=-2 -2 -3 -3 2 2 3 3 | "
+    "M1=-2 -2 -3 -3 2 2 3 3 | M2=-3 -3 -1 -1 3 3 1 1 | "
+    "M3=-1 -1 -2 -2 1 1 2 2",
 ])
 def test_malformed_chirotope_entry_is_a_format_error(tmp_path, capsys, entry):
     path = tmp_path / "bad.chi"

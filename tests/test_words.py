@@ -1,3 +1,4 @@
+import doctest
 import random
 
 import pytest
@@ -200,3 +201,8 @@ class TestRollBijection:
                     shared = [b for b in arr.blocks(t)
                               if any(abs(W.co_index(pr, t)) == i for pr in b)]
                     assert sorted(images) == sorted(shared), (name, i, t)
+
+
+def test_doctests():
+    result = doctest.testmod(W)
+    assert (result.failed, result.attempted) == (0, 7)
