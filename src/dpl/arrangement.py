@@ -16,9 +16,6 @@ two-curve arrangement and on the published pair of arrangements sharing
 their disk cycles (see README).
 """
 
-import json
-from collections import Counter
-
 from . import words as W
 from .errors import (
     BadSignPattern,
@@ -257,26 +254,21 @@ class Arrangement:
     def act(self, sigma):
         """Relabeled/reoriented version: curve at new index k is old curve
         ``sigma(k)``, reversed when the image is negative."""
-        inv = sigma.inverse()
-        disk, cross = {}, {}
-        for k in sigma.images:
-            m = sigma(k)
-            d = self.disk[abs(m)]
-            c = self.crosscap[abs(m)]
-            if m < 0:
-                d, c = d[::-1], c[::-1]
-            disk[k] = tuple(inv(x) for x in d)
-            cross[k] = tuple(inv(x) for x in c)
-        return validate(disk, cross)
+        idx = self.indices
+        disk, cross = self._acted_families(sigma)
+        return validate(dict(zip(idx, disk)), dict(zip(idx, cross)))
 
     def acted_key(self, sigma):
         """``self.act(sigma).key()`` without validating the acted families."""
+        return (self.indices,) + tuple(
+            tuple(W.min_rotation(w) for w in words)
+            for words in self._acted_families(sigma))
+
+    def _acted_families(self, sigma):
+        """The disk and crosscap words of :meth:`act`, in index order."""
         idx = self.indices
-        return (idx,
-                tuple(W.min_rotation(w) for w in act_words(
-                    sigma, idx, tuple(self.disk[i] for i in idx))),
-                tuple(W.min_rotation(w) for w in act_words(
-                    sigma, idx, tuple(self.crosscap[i] for i in idx))))
+        return (act_words(sigma, idx, tuple(self.disk[i] for i in idx)),
+                act_words(sigma, idx, tuple(self.crosscap[i] for i in idx)))
 
     def restriction(self, J):
         J = frozenset(J)
@@ -524,6 +516,3 @@ def load(path):
     with open(path) as fh:
         return parse_text(fh.read())
 
-
-def to_json_text(arr, name=None):
-    return json.dumps(arr.to_json(name=name), sort_keys=False)

@@ -181,13 +181,22 @@ def _emit_classes(path, arrangements, label):
             fh.write(arr.to_text(name=label % t))
 
 
+def non_negative_int(text):
+    """A state cap, from ``--limit-states`` or ``DPL_STATE_LIMIT``."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def cmd_enumerate(args):
     limit = args.limit_states
     if limit is None and os.environ.get("DPL_STATE_LIMIT"):
         try:
-            limit = int(os.environ["DPL_STATE_LIMIT"])
+            limit = non_negative_int(os.environ["DPL_STATE_LIMIT"])
         except ValueError as exc:
-            raise FormatError("DPL_STATE_LIMIT is not an integer: %r"
+            raise FormatError("DPL_STATE_LIMIT is not a non-negative "
+                              "integer: %r"
                               % os.environ["DPL_STATE_LIMIT"]) from exc
     try:
         if args.setting == "projective":
@@ -298,7 +307,7 @@ def main(argv=None):
                    help="include non-simple states")
     p.add_argument("--table", action="store_true", help="CSV census row")
     p.add_argument("--emit-classes", metavar="DIR")
-    p.add_argument("--limit-states", type=int, default=None)
+    p.add_argument("--limit-states", type=non_negative_int, default=None)
     p.add_argument("--human", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 

@@ -57,6 +57,13 @@ def flag_id(start, i, p, eps, side):
     return 4 * (start[i] + p) + _LOW[(eps, side)]
 
 
+def flag_of(indices, start, f):
+    """``(i, p, eps, side)`` of flag ``f``; the inverse of :func:`flag_id`."""
+    k, low = divmod(f, 4)
+    i = next(i for i in reversed(indices) if k >= start[i])
+    return (i, k - start[i]) + _EPS_SIDE[low]
+
+
 def crossing_positions(indices, pairs):
     """pair -> {curve: position of the pair's vertex along that curve}.
 
@@ -100,6 +107,33 @@ def flag_sigmas(indices, pairs, pos):
                 s1[f + low] = flag_id(start, j, pos[pair][j], eps2, side2)
     s2 = [f ^ 1 for f in range(4 * total)]
     return start, s0, s1, s2
+
+
+def triangle(face, indices, start, pairs):
+    """``(positions, corners)`` of a hexagonal face, None for any other.
+
+    A hexagon has one edge on each of three curves, as every corner
+    changes the curve.  ``positions`` lists ``(i, a)`` per curve ``i`` in
+    index order, ``a`` the position of the face's forward-oriented flag
+    on ``i``: the face's corners on ``i`` sit at ``a`` and ``a + 1``.
+    ``corners`` holds the corner nodes in descriptor form, ``(pair,)``, or
+    is None when ``pairs`` has None at a corner (a multiple vertex).
+    """
+    if len(face) != 6:
+        return None
+    positions = []
+    corners = set()
+    for f in face:
+        if f & 2:
+            continue    # the backward flag of an edge sits at its far end
+        i, a, _, _ = flag_of(indices, start, f)
+        row = pairs[i]
+        positions.append((i, a))
+        corners.add(row[a])
+        corners.add(row[(a + 1) % len(row)])
+    if None in corners:
+        return tuple(positions), None
+    return tuple(positions), frozenset((pair,) for pair in corners)
 
 
 def face_orbits(sigma0, sigma1):
@@ -176,18 +210,16 @@ class FlagComplex:
         self.node_list = sorted(arr.nodes, key=lambda nd: sorted(nd))
         self.node_id = {nd: k for k, nd in enumerate(self.node_list)}
 
-        # position of each node along each of its carriers
-        self.block_index = {}
         flags = []
         pairs = {}
         for i in arr.indices:
             row = []
-            for b, node in enumerate(arr.node_cycles[i]):
+            for node in arr.node_cycles[i]:
                 nd = self.node_id[node]
-                self.block_index[(nd, i)] = b
                 flags.extend((nd, eps, i, side) for eps, side in _EPS_SIDE)
                 row.append(next(iter(node)) if len(node) == 1 else None)
             pairs[i] = row
+        self.pairs = pairs      # crossing pair per block, None if multiple
         self.flags = flags
         self.fid = {fl: f for f, fl in enumerate(flags)}
 

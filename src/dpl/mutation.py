@@ -7,6 +7,11 @@ non-inverse split and maps simple arrangements to simple arrangements
 (it inverts the triangle, swapping one adjacent letter pair per support
 in both side cycles).
 
+Merges and flips, in every walk and in :func:`apply_move`, read one
+triangle finder, :func:`flags.triangle`, and one swap rule,
+:func:`_swapped`: a flip swaps both side cycles of each support, a merge
+only the cycle on the triangle's side.
+
 Every census is one breadth-first walk, :func:`_walk`, with canonical
 dedup; a census supplies its seeds (the thin cyclic seed, or all its
 signed versions) and the neighbours of a state.  The state cap counts
@@ -20,7 +25,8 @@ marked cell, which is tracked through the move by one of its corner flags
 away from the move.  Simple and heavy states name a flag by one
 descriptor, ``(curve, node, orientation, side)``, where ``node`` is the
 sorted tuple of the vertex's crossing pairs (a 1-tuple at a simple
-vertex).
+vertex); a corner flag ``d`` survives a move when ``d[1]`` is not among
+the nodes the move removes.
 """
 
 import sys
@@ -38,13 +44,14 @@ from .arrangement import (
 )
 from .errors import DplError, IllegalLocus, ResourceLimit
 from .flags import (
-    _EPS_SIDE,
     crossing_positions,
     disk_faces,
     face_orbits,
     flag_id,
+    flag_of,
     flag_sigmas,
     side_labels,
+    triangle,
     two_curve_step,
 )
 
@@ -75,14 +82,6 @@ class SimpleState:
         self._faces = None
         self._face_of = None
 
-    def fid(self, i, p, eps, side):
-        return flag_id(self.start, i, p, eps, side)
-
-    def flag(self, f):
-        k, low = divmod(f, 4)
-        i = next(i for i in reversed(self.indices) if k >= self.start[i])
-        return (i, k - self.start[i]) + _EPS_SIDE[low]
-
     @property
     def faces(self):
         if self._faces is None:
@@ -97,38 +96,24 @@ class SimpleState:
     def descriptor(self, f):
         """``(curve, (pair,), orientation, side)``: the descriptor of
         :meth:`flags.FlagComplex.descriptor` at a simple vertex."""
-        i, p, eps, side = self.flag(f)
+        i, p, eps, side = flag_of(self.indices, self.start, f)
         return (i, (self.pairs[i][p],), eps, side)
 
     def flag_from_descriptor(self, desc):
         i, (pair,), eps, side = desc
-        return self.fid(i, self.pos[pair][i], eps, side)
+        return flag_id(self.start, i, self.pos[pair][i], eps, side)
 
     def face_descriptors(self, t):
         return frozenset(self.descriptor(f) for f in self.faces[t])
 
     def triangles(self):
-        """(face index, ((curve, swap position), ...), corner pairs)."""
+        """(face index, ((curve, swap position), ...), corner nodes) of
+        every triangle, as :func:`flags.triangle` reads them."""
         out = []
         for t, face in enumerate(self.faces):
-            if len(face) != 6:
-                continue
-            per_curve = {}
-            for f in face:
-                i, p, eps, side = self.flag(f)
-                per_curve.setdefault(i, []).append((p, eps))
-            swaps = []
-            corners = set()
-            for i, fl in per_curve.items():
-                L = len(self.pairs[i])
-                (p1, e1), (p2, e2) = fl
-                a = p1 if e1 > 0 else p2
-                b = p2 if e1 > 0 else p1
-                assert (a + 1) % L == b
-                swaps.append((i, a))
-                corners.add(self.pairs[i][a])
-                corners.add(self.pairs[i][b])
-            out.append((t, tuple(sorted(swaps)), frozenset(corners)))
+            tri = triangle(face, self.indices, self.start, self.pairs)
+            if tri is not None:
+                out.append((t,) + tri)
         return out
 
     def face_sides(self):
@@ -140,18 +125,24 @@ class SimpleState:
         return disk_faces(self.face_sides())
 
 
-def _swap_adjacent(word, p):
-    w = list(word)
-    q = (p + 1) % len(w)
-    w[p], w[q] = w[q], w[p]
-    return tuple(w)
+def _swapped(indices, family, swaps, sides=None):
+    """The word family with the letters at positions ``a`` and ``a + 1``
+    of curve ``i`` exchanged, for each ``(i, a)`` in ``swaps``.
 
-
-def _swap_words(indices, words, swaps):
-    new = list(words)
+    ``family`` lists the disk words in index order, then (for a heavy
+    state) the crosscap words.  A flip swaps every word of the curve; a
+    merge passes the side labels of its face and swaps only the word on
+    the face's side of each curve (``sides[i]``: -1 disk, +1 crosscap).
+    """
+    n = len(indices)
+    new = list(family)
     for i, a in swaps:
-        k = indices.index(i)
-        new[k] = _swap_adjacent(new[k], a)
+        for k in range(indices.index(i), len(new), n):
+            if sides is None or (k >= n) == (sides[i] > 0):
+                w = list(new[k])
+                q = (a + 1) % len(w)
+                w[a], w[q] = w[q], w[a]
+                new[k] = tuple(w)
     return tuple(new)
 
 
@@ -244,7 +235,7 @@ def projective_census(n, limit=None, seed_all_versions=False):
 
     def neighbours(key, words):
         for t, swaps, corners in SimpleState(indices, words).triangles():
-            nw = _swap_words(indices, words, swaps)
+            nw = _swapped(indices, words, swaps)
             nk = _words_key(nw)
             edges.add((min(key, nk), max(key, nk)))
             yield nk, nw
@@ -286,11 +277,9 @@ def pumping_check(arr, gamma):
     if not inside:
         return True
     for t, face in enumerate(cx.faces):
-        if len(face) != 6:
-            continue
-        if cx.face_sides[t][gamma] <= 0:
-            continue
-        if any(cx.flags[f][2] == gamma for f in face):
+        tri = triangle(face, cx.indices, cx.start, cx.pairs)
+        if (tri is not None and cx.face_sides[t][gamma] > 0
+                and gamma in (i for i, _ in tri[0])):
             return True
     return False
 
@@ -322,6 +311,26 @@ def _marked_seeds(indices, base):
             yield (_words_key(w), desc), (w, desc)
 
 
+def _survivor(tags, corners):
+    """A descriptor of the marked cell at a corner that a move removing
+    the nodes ``corners`` keeps."""
+    survivors = [d for d in tags if d[1] not in corners]
+    assert survivors, "marked cell lost all corners"
+    return survivors[0]
+
+
+def _marked_flips(indices, words, desc):
+    """(flipped words, surviving descriptor) for each flip of a marked
+    simple state at a triangle other than its marked cell."""
+    st = SimpleState(indices, words)
+    marked = st.face_of[st.flag_from_descriptor(desc)]
+    marked_descs = st.face_descriptors(marked)
+    for t, swaps, corners in st.triangles():
+        if t != marked:
+            yield (_swapped(indices, words, swaps),
+                   _survivor(marked_descs, corners))
+
+
 def moebius_simple_census(n, limit=None, progress=None):
     """BFS over marked simple states; returns (indices, key -> state).
 
@@ -333,20 +342,11 @@ def moebius_simple_census(n, limit=None, progress=None):
     indices, base = _thin_words(n)
 
     def neighbours(key, state):
-        words, desc = state
-        st = SimpleState(indices, words)
-        marked = st.face_of[st.flag_from_descriptor(desc)]
-        marked_descs = st.face_descriptors(marked)
-        for t, swaps, corners in st.triangles():
-            if t == marked:
-                continue
-            survivors = [d for d in marked_descs if d[1][0] not in corners]
-            assert survivors, "marked cell lost all corners"
-            nw = _swap_words(indices, words, swaps)
+        for nw, survivor in _marked_flips(indices, *state):
             st2 = SimpleState(indices, nw)
-            t2 = st2.face_of[st2.flag_from_descriptor(survivors[0])]
+            t2 = st2.face_of[st2.flag_from_descriptor(survivor)]
             yield ((_words_key(nw), min(st2.face_descriptors(t2))),
-                   (nw, survivors[0]))
+                   (nw, survivor))
 
     return indices, _walk(_marked_seeds(indices, base), neighbours, limit,
                           progress)
@@ -375,41 +375,36 @@ class MutationMove:
             self.kind, self.locus, self.moving, self.side)
 
 
+def _triangles(arr):
+    """(face index, ((curve, block position), ...), corner nodes) of every
+    triangle of ``arr`` with simple corners, as :func:`flags.triangle`
+    reads them; only such a triangle admits a single-incidence move."""
+    cx = arr.complex
+    for t, face in enumerate(cx.faces):
+        tri = triangle(face, cx.indices, cx.start, cx.pairs)
+        if tri is not None and tri[1] is not None:
+            yield (t,) + tri
+
+
 def triangles(arr):
     """(face index, movable curve) pairs for merge/flip moves."""
-    cx = arr.complex
-    out = []
-    for t, face in enumerate(cx.faces):
-        if len(face) != 6:
-            continue
-        nodes = {cx.flags[f][0] for f in face}
-        if any(len(cx.node_list[nd]) != 1 for nd in nodes):
-            continue  # only all-simple corners admit a single-incidence move
-        for curve in sorted({cx.flags[f][2] for f in face}):
-            out.append((t, curve))
-    return out
+    return [(t, i) for t, positions, _ in _triangles(arr)
+            for i, _ in positions]
 
 
-def _corner_positions(arr, cx, face):
-    """Per support curve, the adjacent position pair of the two corners."""
-    per_curve = {}
-    for f in face:
-        nd, eps, i, side = cx.flags[f]
-        node = cx.node_list[nd]
-        span = arr.spans[i][cx.block_index[(nd, i)]]
-        assert len(span) == 1
-        per_curve.setdefault(i, set()).add(span[0])
-    swaps = {}
-    for i, ps in per_curve.items():
-        L = len(arr.disk[i])
-        p, q = sorted(ps)
-        if (p + 1) % L == q:
-            swaps[i] = p
-        elif (q + 1) % L == p:
-            swaps[i] = q
-        else:
-            raise IllegalLocus("face corners not adjacent on curve %d" % i)
-    return swaps
+def _triangle_move(arr, t, positions, flip=False):
+    """The validated result of collapsing the triangle ``t`` with support
+    ``positions`` onto its opposite vertex, or with ``flip`` of inverting
+    it.  Collapsing from the crosscap side of a curve reorders that
+    curve's crosscap word."""
+    idx = arr.indices
+    family = (tuple(arr.disk[i] for i in idx)
+              + tuple(arr.crosscap[i] for i in idx))
+    # every corner is simple, so a block is one word position
+    swaps = [(i, arr.spans[i][a][0]) for i, a in positions]
+    new = _swapped(idx, family, swaps,
+                   None if flip else arr.complex.face_sides[t])
+    return validate(dict(zip(idx, new)), dict(zip(idx, new[len(idx):])))
 
 
 def _split_candidates(arr, node, m):
@@ -474,30 +469,17 @@ def apply_move(arr, move):
     cx = arr.complex
     if move.kind in ("merge", "flip"):
         t = move.locus
-        face = cx.faces[t]
-        if len(face) != 6:
+        tri = triangle(cx.faces[t], cx.indices, cx.start, cx.pairs)
+        if tri is None:
             raise IllegalLocus("face %d is not a triangle" % t)
-        supports = {cx.flags[f][2] for f in face}
-        if move.moving is not None and move.moving not in supports:
+        positions, corners = tri
+        if (move.moving is not None
+                and move.moving not in (i for i, _ in positions)):
             raise IllegalLocus("curve %r does not support face %d"
                                % (move.moving, t))
-        nodes = {cx.flags[f][0] for f in face}
-        if any(len(cx.node_list[nd]) != 1 for nd in nodes):
+        if corners is None:
             raise IllegalLocus("triangle has a corner on a multiple vertex")
-        swaps = _corner_positions(arr, cx, face)
-        sides = cx.face_sides[t]
-        disk = dict(arr.disk)
-        cross = dict(arr.crosscap)
-        for i, p in swaps.items():
-            if move.kind == "flip":
-                disk[i] = _swap_adjacent(disk[i], p)
-                cross[i] = _swap_adjacent(cross[i], p)
-            elif sides[i] > 0:
-                # collapsing from the crosscap side reorders that wheel
-                cross[i] = _swap_adjacent(cross[i], p)
-            else:
-                disk[i] = _swap_adjacent(disk[i], p)
-        return validate(disk, cross)
+        return _triangle_move(arr, t, positions, move.kind == "flip")
 
     if move.kind == "split":
         first, second = _split_candidates(arr, move.locus, move.moving)
@@ -538,29 +520,21 @@ def moebius_full_census(n, limit=None):
         arr, marked_tags = state
         cx = arr.complex
         marked = cx.face_of[cx.flag_from_descriptor(key[1])]
-        steps = []      # (neighbour, nodes the move removes)
-        seen_faces = set()
-        for t, curve in triangles(arr):
-            if t == marked or t in seen_faces:
-                continue
-            seen_faces.add(t)
-            steps.append((apply_move(arr, MutationMove("merge", t, curve)),
-                          {frozenset(cx.node_list[cx.flags[f2][0]])
-                           for f2 in cx.faces[t]}))
+        steps = []      # (neighbour, corner nodes the move removes)
+        for t, positions, corners in _triangles(arr):
+            if t != marked:
+                steps.append((_triangle_move(arr, t, positions), corners))
         for node in arr.nodes:
             bases = {abs(x) for pair in node for x in pair}
             if len(bases) < 3:
                 continue
             for m in sorted(bases):
-                steps += [(out, {node})
+                steps += [(out, {tuple(sorted(node))})
                           for out in _split_candidates(arr, node, m)]
-        for out, dead_nodes in steps:
-            survivors = [d for d in marked_tags
-                         if frozenset(d[1]) not in dead_nodes]
-            assert survivors, "marked cell lost all corners"
+        for out, corners in steps:
             ocx = out.complex
-            tags = ocx.face_descriptors(
-                ocx.face_of[ocx.flag_from_descriptor(survivors[0])])
+            f = ocx.flag_from_descriptor(_survivor(marked_tags, corners))
+            tags = ocx.face_descriptors(ocx.face_of[f])
             yield (out.key(), min(tags)), (out, tags)
 
     return seed.indices, _walk(seeds(), neighbours, limit, None)
@@ -605,16 +579,7 @@ def moebius_states(n, limit=None, progress=None):
     indices, base = _thin_words(n)
 
     def neighbours(key, state):
-        words, desc = state
-        st = SimpleState(indices, words)
-        marked = st.face_of[st.flag_from_descriptor(desc)]
-        marked_descs = st.face_descriptors(marked)
-        for t, swaps, corners in st.triangles():
-            if t == marked:
-                continue
-            survivor = next(d for d in marked_descs
-                            if d[1][0] not in corners)
-            nw = _swap_words(indices, words, swaps)
+        for nw, survivor in _marked_flips(indices, *state):
             tag = min(_marked_face(indices, nw, survivor))
             yield (_words_key(nw), tag), (nw, survivor)
 

@@ -246,6 +246,18 @@ def test_enumerate_state_limit_not_an_integer(capsys, monkeypatch):
     assert json.loads(out)["code"] == "format-error"
 
 
+def test_enumerate_state_limit_negative_is_a_usage_error(capsys):
+    code, out = run(capsys, "enumerate", "--n", "3", "--limit-states", "-1")
+    assert code == 2 and out == ""
+
+
+def test_enumerate_state_limit_negative_in_environment(capsys, monkeypatch):
+    monkeypatch.setenv("DPL_STATE_LIMIT", "-1")
+    code, out = run(capsys, "enumerate", "--n", "3")
+    assert code == 1
+    assert json.loads(out)["code"] == "format-error"
+
+
 def test_enumerate_deterministic_output(capsys):
     code1, out1 = run(capsys, "enumerate", "--n", "3",
                       "--setting", "projective")

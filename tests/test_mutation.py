@@ -14,6 +14,7 @@ from dpl.mutation import (
     _marked_face,
     _phase_keys,
     _split_candidates,
+    _triangles,
     _words_key,
     act_words,
     apply_move,
@@ -91,6 +92,25 @@ class TestMoves:
         assert out.genus == 1
         assert (out.complex.canonical_key("plain")
                 != arr.complex.canonical_key("plain"))
+
+    def test_flip_is_merge_then_other_split(self):
+        """On every (triangle, support curve) of the thirteen classes,
+        which give the 216 indexed states of ``projective_census(3)`` up
+        to relabeling, the merged vertex releases to exactly the original
+        and the flip, and the two differ."""
+        cases = 0
+        for name in catalog.THIRTEEN:
+            arr = catalog.arrangement(name)
+            for t, m in triangles(arr):
+                merged = apply_move(arr, MutationMove("merge", t, m))
+                node = next(nd for nd in merged.nodes
+                            if len({abs(x) for p in nd for x in p}) >= 3)
+                flipped = apply_move(arr, MutationMove("flip", t, m))
+                assert arr.key() != flipped.key()
+                assert ({out.key() for out in _split_candidates(merged, node, m)}
+                        == {arr.key(), flipped.key()})
+                cases += 1
+        assert cases == 183
 
     def test_illegal_loci(self):
         arr = cyclic_thin(3)
@@ -416,6 +436,7 @@ class TestOneFlagStructure:
         arrs += [cyclic_thin(n) for n in range(2, 6)]
         arrs += [all_c64(n) for n in range(3, 7)]
         assert len(arrs) > 216 + 13
+        triangle_count = 0
         for arr in arrs:
             cx = arr.complex
             st = SimpleState(arr.indices,
@@ -428,6 +449,16 @@ class TestOneFlagStructure:
             for f in range(len(cx.flags)):
                 assert st.flag_from_descriptor(st.descriptor(f)) == f
                 assert cx.flag_from_descriptor(cx.descriptor(f)) == f
+            # both engines name the same triangles, swap positions and
+            # corner nodes, and the corners are the nodes of the face
+            tris = st.triangles()
+            assert tris == list(_triangles(arr))
+            assert triangles(arr) == [(t, i) for t, positions, _ in tris
+                                      for i, _ in positions]
+            for t, _, corners in tris:
+                assert corners == {d[1] for d in cx.face_descriptors(t)}
+            triangle_count += len(tris)
+        assert triangle_count > len(arrs)
 
     def test_flag_complex_descriptors_round_trip(self):
         """At multiple vertices too: the catalog includes non-simple
