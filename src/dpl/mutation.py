@@ -242,10 +242,18 @@ def projective_census(n, limit=None, seed_all_versions=False):
 
     visited = _walk(((_words_key(w), w) for w in seeds), neighbours,
                     limit, None)
-    plain = {}
+    # A signed relabeling is an isomorphism of the flag graph, so the plain
+    # key is computed once per orbit and given to all its states.
+    label = {}
     for key, w in visited.items():
-        arr = from_disk_only(dict(zip(indices, w)))
-        plain.setdefault(arr.complex.canonical_key("plain"), []).append(key)
+        if key not in label:
+            arr = from_disk_only(dict(zip(indices, w)))
+            pk = arr.complex.canonical_key("plain")
+            for s in W.signed_permutations(indices):
+                label[_words_key(act_words(s, indices, w))] = pk
+    plain = {}
+    for key in visited:
+        plain.setdefault(label[key], []).append(key)
     return {
         "indices": indices,
         "indexed_classes": visited,
@@ -320,14 +328,20 @@ def _survivor(tags, corners):
 
 
 def _marked_flips(indices, words, desc):
-    """(flipped words, surviving descriptor) for each flip of a marked
-    simple state at a triangle other than its marked cell."""
+    """(flipped words, their crossing pairs, surviving descriptor) for each
+    flip of a marked simple state at a triangle other than its marked cell.
+
+    A flip swaps two adjacent letters of different co-indices, which keeps
+    the order of each co-index's four occurrences; so each crossing pair
+    moves with its letter, and the pair rows go through the same swap."""
     st = SimpleState(indices, words)
     marked = st.face_of[st.flag_from_descriptor(desc)]
     marked_descs = st.face_descriptors(marked)
+    rows = tuple(st.pairs[i] for i in indices)
     for t, swaps, corners in st.triangles():
         if t != marked:
             yield (_swapped(indices, words, swaps),
+                   dict(zip(indices, _swapped(indices, rows, swaps))),
                    _survivor(marked_descs, corners))
 
 
@@ -342,7 +356,7 @@ def moebius_simple_census(n, limit=None, progress=None):
     indices, base = _thin_words(n)
 
     def neighbours(key, state):
-        for nw, survivor in _marked_flips(indices, *state):
+        for nw, _, survivor in _marked_flips(indices, *state):
             st2 = SimpleState(indices, nw)
             t2 = st2.face_of[st2.flag_from_descriptor(survivor)]
             yield ((_words_key(nw), min(st2.face_descriptors(t2))),
@@ -469,6 +483,8 @@ def apply_move(arr, move):
     cx = arr.complex
     if move.kind in ("merge", "flip"):
         t = move.locus
+        if not isinstance(t, int) or not 0 <= t < len(cx.faces):
+            raise IllegalLocus("unknown face %r" % (t,))
         tri = triangle(cx.faces[t], cx.indices, cx.start, cx.pairs)
         if tri is None:
             raise IllegalLocus("face %d is not a triangle" % t)
@@ -482,8 +498,10 @@ def apply_move(arr, move):
         return _triangle_move(arr, t, positions, move.kind == "flip")
 
     if move.kind == "split":
+        if move.side not in ("a", "b"):
+            raise IllegalLocus("unknown split side %r" % (move.side,))
         first, second = _split_candidates(arr, move.locus, move.moving)
-        return first if move.side != "b" else second
+        return first if move.side == "a" else second
 
     raise IllegalLocus("unknown move kind %r" % move.kind)
 
@@ -548,10 +566,11 @@ def moebius_full_census(n, limit=None):
 # the walk of the simple crosscap census at every size.
 
 
-def _marked_face(indices, words, desc):
+def _marked_face(indices, pairs, desc):
     """Descriptors of the face holding flag ``desc``, found by walking that
-    face alone (no full state build)."""
-    pairs, pos = _disk_pairs(indices, words)
+    face alone (no full state build); ``pairs`` are the crossing pairs of
+    the disk cycles, as :func:`_disk_pairs` gives them."""
+    pos = crossing_positions(indices, pairs)
     i0, (pair0,), eps0, side0 = desc
     start = (i0, pos[pair0][i0], eps0, side0)
     seen = {start}
@@ -579,8 +598,8 @@ def moebius_states(n, limit=None, progress=None):
     indices, base = _thin_words(n)
 
     def neighbours(key, state):
-        for nw, survivor in _marked_flips(indices, *state):
-            tag = min(_marked_face(indices, nw, survivor))
+        for nw, pairs, survivor in _marked_flips(indices, *state):
+            tag = min(_marked_face(indices, pairs, survivor))
             yield (_words_key(nw), tag), (nw, survivor)
 
     return indices, _walk(_marked_seeds(indices, base), neighbours, limit,
@@ -711,7 +730,8 @@ def _moebius_classes(n, simple_only=True, limit=None, progress=None):
 
         def marked(state):
             words, desc = state
-            return words, _marked_face(indices, words, desc)
+            return words, _marked_face(
+                indices, _disk_pairs(indices, words)[0], desc)
     else:
         indices, states = moebius_full_census(n, limit=limit)
         marked = _heavy_marked

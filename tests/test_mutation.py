@@ -5,15 +5,19 @@ import pytest
 
 from dpl import all_c64, catalog, cyclic_thin, from_disk_only, validate
 from dpl.errors import DplError, IllegalLocus, ResourceLimit
+from dpl.flags import FlagComplex
 from dpl.mutation import (
     MutationMove,
     SimpleState,
     _census_groups,
     _class_key,
+    _disk_pairs,
     _heavy_marked,
     _marked_face,
+    _marked_flips,
     _phase_keys,
     _split_candidates,
+    _swapped,
     _triangles,
     _words_key,
     act_words,
@@ -121,6 +125,26 @@ class TestMoves:
         with pytest.raises(IllegalLocus):
             apply_move(arr, MutationMove("split", next(iter(arr.nodes)), 1))
 
+    @pytest.mark.parametrize("kind", ["merge", "flip"])
+    @pytest.mark.parametrize("locus", [999, -1, "x"])
+    def test_face_locus_out_of_range(self, kind, locus):
+        with pytest.raises(IllegalLocus, match="unknown face"):
+            apply_move(cyclic_thin(3), MutationMove(kind, locus))
+
+    def test_split_side(self):
+        arr = cyclic_thin(3)
+        t, m = triangles(arr)[0]
+        merged = apply_move(arr, MutationMove("merge", t, m))
+        node = next(nd for nd in merged.nodes
+                    if len({abs(x) for p in nd for x in p}) >= 3)
+        first, second = _split_candidates(merged, node, m)
+        for side, want in (("a", first), ("b", second)):
+            out = apply_move(merged, MutationMove("split", node, m, side))
+            assert out.key() == want.key()
+        for side in ("zz", None, "A"):
+            with pytest.raises(IllegalLocus, match="split side"):
+                apply_move(merged, MutationMove("split", node, m, side))
+
 
 class TestProjectiveCensus:
     def test_thirteen_classes(self):
@@ -149,12 +173,62 @@ class TestProjectiveCensus:
         with pytest.raises(ResourceLimit):
             projective_census(3, limit=5)
 
+    @pytest.mark.parametrize("n, seed_all", [(2, False), (3, False),
+                                             (3, True)])
+    def test_plain_classes_match_reference(self, n, seed_all):
+        cen = projective_census(n, seed_all_versions=seed_all)
+        want = reference_plain_classes(cen["indices"], cen["indexed_classes"])
+        assert list(cen["plain_classes"].items()) == list(want.items())
+
+    def test_one_plain_key_per_orbit(self, monkeypatch):
+        calls = []
+        plain = FlagComplex.canonical_key
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return plain(self, *args, **kwargs)
+
+        monkeypatch.setattr(FlagComplex, "canonical_key", counted)
+        assert len(projective_census(3)["plain_classes"]) == 13
+        assert calls == [("plain",)] * 13
+
+    def test_flip_carries_crossing_pairs(self):
+        """A flip swaps letters of different co-indices, so the swapped
+        pair rows are the crossing pairs of the flipped words."""
+        cen = projective_census(3)
+        indices = cen["indices"]
+        flips = 0
+        for words in cen["indexed_classes"].values():
+            st = SimpleState(indices, words)
+            rows = tuple(st.pairs[i] for i in indices)
+            for _, swaps, _ in st.triangles():
+                nw = _swapped(indices, words, swaps)
+                assert (dict(zip(indices, _swapped(indices, rows, swaps)))
+                        == _disk_pairs(indices, nw)[0])
+                flips += 1
+        _, states = moebius_states(3)
+        for words, desc in states.values():
+            for nw, pairs, _ in _marked_flips(indices, words, desc):
+                assert pairs == _disk_pairs(indices, nw)[0]
+                flips += 1
+        assert flips > len(cen["indexed_classes"]) + len(states)
+
     def test_order_independence(self):
         base = projective_census(3)
         shuffled = projective_census(3, seed_all_versions=True)
         assert set(base["plain_classes"]) == set(shuffled["plain_classes"])
         assert (set(base["indexed_classes"])
                 == set(shuffled["indexed_classes"]))
+
+
+def reference_plain_classes(indices, indexed_classes):
+    """Plain key -> indexed keys, by validating every state and computing
+    its plain key."""
+    plain = {}
+    for key, w in indexed_classes.items():
+        arr = from_disk_only(dict(zip(indices, w)))
+        plain.setdefault(arr.complex.canonical_key("plain"), []).append(key)
+    return plain
 
 
 class TestPumping:
@@ -271,7 +345,8 @@ class TestMoebiusCensus:
             return st.face_descriptors(st.face_of[st.flag_from_descriptor(desc)])
 
         for words, desc in fast.values():
-            assert (_marked_face(indices, words, desc)
+            assert (_marked_face(indices, _disk_pairs(indices, words)[0],
+                                 desc)
                     == marked_descriptors(words, desc))
         tagsets = {key: (words, marked_descriptors(words, desc))
                    for key, (words, desc) in slow.items()}
@@ -346,11 +421,13 @@ class TestClassKeyInvariance:
             nw = act_words(sigma, indices, words)
             inv = sigma.inverse()
             ntags = frozenset(transport_descriptor(inv, d) for d in tags)
-            assert _marked_face(indices, nw, min(ntags)) == ntags
+            assert _marked_face(indices, _disk_pairs(indices, nw)[0],
+                                min(ntags)) == ntags
             return nw, ntags
 
-        picked = [(states[k][0], _marked_face(indices, *states[k]))
-                  for k in sample]
+        picked = [(words, _marked_face(
+                      indices, _disk_pairs(indices, words)[0], desc))
+                  for words, desc in (states[k] for k in sample)]
         self.check(indices, picked, act)
 
     def test_heavy_states(self, lifted):
