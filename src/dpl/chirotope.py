@@ -204,6 +204,16 @@ def chirotope_of(arr):
     return Chirotope(entries)
 
 
+def _has_chirotope(arr, chi):
+    """``chirotope_of(arr) == chi`` for ``arr`` on the indices of ``chi``:
+    the least rotations of each triple's restricted words against the
+    entry, without validating the restrictions."""
+    return all(
+        tuple(W.min_rotation(tuple(x for x in w[i] if abs(x) in J))
+              for w in (arr.disk, arr.crosscap)) == want
+        for J, fam in chi.entries.items() for i, want in fam.items())
+
+
 # ---------------------------------------------------------------------------
 # extension search
 
@@ -314,7 +324,7 @@ def extensions4(chi, genus_one=True):
             continue
         if genus_one and arr.genus != 1:
             continue
-        if chirotope_of(arr) != chi:
+        if not _has_chirotope(arr, chi):
             continue
         out.setdefault(arr.key(), arr)
     return [out[k] for k in sorted(out)]
@@ -468,7 +478,7 @@ def _reconstruct_big(chi, genus_one):
     arr = validate(disk, cross)
     if genus_one and arr.genus != 1:
         return []
-    if chirotope_of(arr) != chi:
+    if not _has_chirotope(arr, chi):
         raise NoArrangement("reconstructed family has a different chirotope")
     return [arr]
 

@@ -13,11 +13,11 @@ triangle finder, :func:`flags.triangle`, and one swap rule,
 only the cycle on the triangle's side.
 
 Every census is one breadth-first walk, :func:`_walk`, with canonical
-dedup; a census supplies its seeds (the thin cyclic seed, or all its
-signed versions) and the neighbours of a state.  The state cap counts
-every state the walk stores, seeds included: a walk raises
+dedup; a census supplies its seeds (the thin cyclic seed, or its signed
+versions) and the neighbours of a state.  The state cap counts every
+state the walk stores, seeds included: a walk raises
 :class:`ResourceLimit` when it stores state ``limit + 1``, so ``partial``
-is the number of states stored.
+is the number of states stored (the crosscap walks store one per orbit).
 
 In the crosscap (Moebius) setting states carry a marked 2-cell contained
 in the disk side of every curve; a move is admissible when it keeps the
@@ -308,15 +308,25 @@ def pumping_check(arr, gamma):
 #   d: full-group classes of the underlying unmarked families.
 
 
-def _marked_seeds(indices, base):
-    """Every signed version of the disk words ``base``, marked at each of
-    its admissible cells: ``(key, (words, descriptor))`` pairs."""
-    for sigma in W.signed_permutations(indices):
+def _even_cosets(indices):
+    """The even reorientations, and one signed permutation per coset of
+    them (the kernel of sigma -> (permutation, parity)): 2 n!, not n! 2^n."""
+    n = len(indices)
+    evens = [s for s in W.signed_permutations(indices, [tuple(indices)])
+             if sum(v < 0 for v in s.images.values()) % 2 == 0]
+    return evens, W.signed_permutations(indices, None,
+                                        [(1,) * n, (-1,) + (1,) * (n - 1)])
+
+
+def _marked_seeds(indices, base, sigmas):
+    """The versions of the disk words ``base`` under ``sigmas``, marked at
+    each admissible cell: ``(words, marked descriptor set)`` pairs.  An
+    orbit walk passes one ``sigma`` per coset (:func:`_even_cosets`)."""
+    for sigma in sigmas:
         w = act_words(sigma, indices, base)
         st = SimpleState(indices, w)
         for t in st.admissible_cells():
-            desc = min(st.face_descriptors(t))
-            yield (_words_key(w), desc), (w, desc)
+            yield w, st.face_descriptors(t)
 
 
 def _survivor(tags, corners):
@@ -349,9 +359,9 @@ def moebius_simple_census(n, limit=None, progress=None):
     """BFS over marked simple states; returns (indices, key -> state).
 
     States are pairs (word family, flag descriptor of the marked cell);
-    the key is rotation-canonical.  Reference walk for the tests: it
-    rebuilds the full flag structures of every neighbor, where
-    :func:`moebius_states` walks only the neighbor's marked face.
+    the key is rotation-canonical.  Plain reference walk for the tests:
+    it stores every state and rebuilds every neighbor's flag structures,
+    where :func:`moebius_states` stores orbits and walks one face.
     """
     indices, base = _thin_words(n)
 
@@ -362,8 +372,9 @@ def moebius_simple_census(n, limit=None, progress=None):
             yield ((_words_key(nw), min(st2.face_descriptors(t2))),
                    (nw, survivor))
 
-    return indices, _walk(_marked_seeds(indices, base), neighbours, limit,
-                          progress)
+    seeds = (((_words_key(w), min(tags)), (w, min(tags))) for w, tags
+             in _marked_seeds(indices, base, W.signed_permutations(indices)))
+    return indices, _walk(seeds, neighbours, limit, progress)
 
 
 # ---------------------------------------------------------------------------
@@ -518,44 +529,51 @@ def inverse_split(arr, merged, node, moving):
 # full (non-simple) marked walk
 
 
+def _heavy_steps(state):
+    """The marked states one merge or split away from the marked heavy
+    state ``(arrangement, marked descriptor set)``, in the same form; a
+    merge of the marked cell is not admissible."""
+    arr, marked_tags = state
+    cx = arr.complex
+    marked = cx.face_of[cx.flag_from_descriptor(min(marked_tags))]
+    steps = []      # (neighbour, corner nodes the move removes)
+    for t, positions, corners in _triangles(arr):
+        if t != marked:
+            steps.append((_triangle_move(arr, t, positions), corners))
+    for node in arr.nodes:
+        bases = {abs(x) for pair in node for x in pair}
+        if len(bases) < 3:
+            continue
+        for m in sorted(bases):
+            steps += [(out, {tuple(sorted(node))})
+                      for out in _split_candidates(arr, node, m)]
+    for out, corners in steps:
+        ocx = out.complex
+        f = ocx.flag_from_descriptor(_survivor(marked_tags, corners))
+        yield out, ocx.face_descriptors(ocx.face_of[f])
+
+
 def moebius_full_census(n, limit=None):
     """Merge/split BFS over marked states of any simplicity (n small).
 
-    Returns (indices, key -> (arrangement, marked descriptor set)); states
-    are heavy (validated arrangements), keys canonical.
-    """
+    Returns (indices, key -> (arrangement, marked descriptor set)), one
+    state per orbit as in :func:`moebius_states`: 531 at n=3, not 2,124."""
     seed = cyclic_thin(n)
+    evens, cosets = _even_cosets(seed.indices)
+
+    def keyed(state):
+        return _canonical_marked(seed.indices, *_heavy_marked(state),
+                                 evens), state
 
     def seeds():
-        for sigma in W.signed_permutations(seed.indices):
+        for sigma in cosets:
             arr = seed.act(sigma)
             cx = arr.complex
             for t in cx.admissible_cells():
-                tags = cx.face_descriptors(t)
-                yield (arr.key(), min(tags)), (arr, tags)
+                yield keyed((arr, cx.face_descriptors(t)))
 
-    def neighbours(key, state):
-        arr, marked_tags = state
-        cx = arr.complex
-        marked = cx.face_of[cx.flag_from_descriptor(key[1])]
-        steps = []      # (neighbour, corner nodes the move removes)
-        for t, positions, corners in _triangles(arr):
-            if t != marked:
-                steps.append((_triangle_move(arr, t, positions), corners))
-        for node in arr.nodes:
-            bases = {abs(x) for pair in node for x in pair}
-            if len(bases) < 3:
-                continue
-            for m in sorted(bases):
-                steps += [(out, {tuple(sorted(node))})
-                          for out in _split_candidates(arr, node, m)]
-        for out, corners in steps:
-            ocx = out.complex
-            f = ocx.flag_from_descriptor(_survivor(marked_tags, corners))
-            tags = ocx.face_descriptors(ocx.face_of[f])
-            yield (out.key(), min(tags)), (out, tags)
-
-    return seed.indices, _walk(seeds(), neighbours, limit, None)
+    return seed.indices, _walk(seeds(), lambda _, st: map(
+        keyed, _heavy_steps(st)), limit, None)
 
 
 # ---------------------------------------------------------------------------
@@ -591,19 +609,25 @@ def _marked_face(indices, pairs, desc):
 
 
 def moebius_states(n, limit=None, progress=None):
-    """Marked simple states by flip BFS; fast-path tag computation.
-
-    Returns (indices, {key: (words, descriptor)}).
-    """
+    """Marked simple states by flip BFS, one per orbit of the even
+    reorientations: (indices, {orbit key: (words, descriptor)}), with the
+    first member found in its own frame; 118 at n=3, not 472, and the cap
+    counts orbits.  A flip commutes with relabeling, so one seed per coset
+    of the even reorientations (:func:`_even_cosets`) will do."""
     indices, base = _thin_words(n)
+    evens, cosets = _even_cosets(indices)
+
+    def keyed(words, tags):
+        return (_canonical_marked(indices, words, tags, evens),
+                (words, min(tags)))
 
     def neighbours(key, state):
         for nw, pairs, survivor in _marked_flips(indices, *state):
-            tag = min(_marked_face(indices, pairs, survivor))
-            yield (_words_key(nw), tag), (nw, survivor)
+            yield keyed(nw, _marked_face(indices, pairs, survivor))
 
-    return indices, _walk(_marked_seeds(indices, base), neighbours, limit,
-                          progress)
+    seeds = (keyed(w, tags) for w, tags
+             in _marked_seeds(indices, base, cosets))
+    return indices, _walk(seeds, neighbours, limit, progress)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from dpl import words as W
 from dpl.arrangement import _D_ANCHOR, _M_ANCHOR, _slot_positions
 from dpl.chirotope import (
     Chirotope,
+    _has_chirotope,
     _merge_words,
     chirotope_of,
     chirotope_text,
@@ -394,6 +395,32 @@ class TestAxiomCheck:
                     assert chi != chirotope_of(cyclic_thin(n))
                     assert reconstruct(chi).key() == arr.key(), (n, step)
                     assert is_k_chirotope(chi, 5), (n, step)
+
+
+class TestChirotopeRecheck:
+    def test_matches_chirotope_of(self):
+        """The re-check by restricted words answers as comparing with
+        ``chirotope_of``, on every pair of a flip walk at five and six
+        curves, most of them different."""
+        rng = random.Random(9)
+        arrs = []
+        for n in (5, 6):
+            arr = cyclic_thin(n)
+            arrs.append(arr)
+            for _ in range(5):
+                arr = apply_move(arr, MutationMove(
+                    "flip", *rng.choice(triangles(arr))))
+                arrs.append(arr)
+        chis = [chirotope_of(arr) for arr in arrs]
+        pairs = same = 0
+        for arr in arrs:
+            for chi in chis:
+                if chi.indices == arr.indices:
+                    want = chirotope_of(arr) == chi
+                    assert _has_chirotope(arr, chi) == want
+                    pairs += 1
+                    same += want
+        assert len(arrs) <= same < pairs
 
 
 class TestMergeWords:

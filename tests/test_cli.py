@@ -150,8 +150,9 @@ def test_enumerate_state_limit(capsys, monkeypatch):
 
 
 def test_enumerate_state_limit_counts_the_seeds(capsys):
-    """The cap stops the walk among the 46,080 signed versions of the
-    six-curve seed, before it expands any state."""
+    """The cap stops the walk among the 1,440 signed versions of the
+    six-curve seed that the orbit walk starts from, one per coset of the
+    even reorientations, before it expands any state."""
     code, out = run(capsys, "enumerate", "--n", "6", "--setting", "moebius",
                     "--limit-states", "10")
     assert code == 1
@@ -230,6 +231,20 @@ def test_enumerate_moebius_emit_classes_three(tmp_path, capsys):
     assert len(files) == 12
     keys = {load(str(f)).complex.canonical_key("plain") for f in files}
     assert len(keys) == 12
+
+
+def test_enumerate_moebius_all_three(tmp_path, capsys):
+    """The merge/split row at three curves, and one file per class of
+    unmarked arrangements, simple or not."""
+    from dpl.arrangement import load
+    out_dir = tmp_path / "mclasses"
+    code, out = run(capsys, "enumerate", "--n", "3", "--setting", "moebius",
+                    "--all", "--table", "--emit-classes", str(out_dir))
+    assert code == 0 and out == "3,531,92,59,41\n"
+    files = sorted(out_dir.glob("*.dpl"))
+    assert len(files) == 41
+    keys = {load(str(f)).complex.canonical_key("plain") for f in files}
+    assert len(keys) == 41
 
 
 def test_enumerate_projective_all_is_illegal(capsys):

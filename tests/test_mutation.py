@@ -9,10 +9,13 @@ from dpl.flags import FlagComplex
 from dpl.mutation import (
     MutationMove,
     SimpleState,
+    _canonical_marked,
     _census_groups,
     _class_key,
     _disk_pairs,
+    _even_cosets,
     _heavy_marked,
+    _heavy_steps,
     _marked_face,
     _marked_flips,
     _phase_keys,
@@ -34,6 +37,7 @@ from dpl.mutation import (
     transport_descriptor,
     triangles,
 )
+from dpl.words import SignedPermutation
 
 LEFT = dict(
     disk={1: (3, 2, -2, 3, -3, -2, 2, -3),
@@ -206,7 +210,7 @@ class TestProjectiveCensus:
                 assert (dict(zip(indices, _swapped(indices, rows, swaps)))
                         == _disk_pairs(indices, nw)[0])
                 flips += 1
-        _, states = moebius_states(3)
+        _, states = moebius_simple_census(3)
         for words, desc in states.values():
             for nw, pairs, _ in _marked_flips(indices, words, desc):
                 assert pairs == _disk_pairs(indices, nw)[0]
@@ -306,9 +310,10 @@ def reference_heavy_classes(heavy, group, odd_pure):
 
 @pytest.fixture(scope="module")
 def lifted():
-    """The marked simple states of ``moebius_states(3)`` as heavy states:
-    validated arrangements with the descriptors of the marked cell."""
-    indices, states = moebius_states(3)
+    """The marked simple states of ``moebius_simple_census(3)`` as heavy
+    states: validated arrangements with the descriptors of the marked
+    cell."""
+    indices, states = moebius_simple_census(3)
     heavy = {}
     for words, desc in states.values():
         arr = from_disk_only(dict(zip(indices, words)))
@@ -316,6 +321,13 @@ def lifted():
         tags = cx.face_descriptors(cx.face_of[cx.flag_from_descriptor(desc)])
         heavy[(arr.key(), min(tags))] = (arr, tags)
     return indices, states, heavy
+
+
+def marked_descriptors(indices, words, desc):
+    """Descriptors of a simple state's marked cell, from its full flag
+    structures."""
+    st = SimpleState(indices, words)
+    return st.face_descriptors(st.face_of[st.flag_from_descriptor(desc)])
 
 
 def phase_counts(indices, states, marked):
@@ -338,19 +350,17 @@ class TestMoebiusCensus:
         every neighbor's flag structures, and the whole-group union-find."""
         indices, slow = moebius_simple_census(3)
         _, fast = moebius_states(3)
-        assert len(slow) == 472 and set(slow) == set(fast)
-
-        def marked_descriptors(words, desc):
-            st = SimpleState(indices, words)
-            return st.face_descriptors(st.face_of[st.flag_from_descriptor(desc)])
-
-        for words, desc in fast.values():
-            assert (_marked_face(indices, _disk_pairs(indices, words)[0],
-                                 desc)
-                    == marked_descriptors(words, desc))
-        tagsets = {key: (words, marked_descriptors(words, desc))
+        tagsets = {key: (words, marked_descriptors(indices, words, desc))
                    for key, (words, desc) in slow.items()}
         g = _census_groups(indices)
+        assert len(slow) == 472 and {
+            _canonical_marked(indices, words, tags, g["evens"])
+            for words, tags in tagsets.values()} == set(fast)
+
+        for words, desc in list(slow.values()) + list(fast.values()):
+            assert (_marked_face(indices, _disk_pairs(indices, words)[0],
+                                 desc)
+                    == marked_descriptors(indices, words, desc))
         slow_row = (
             reference_marked_classes(indices, tagsets, g["evens"],
                                      g["odd_pure"]),
@@ -413,7 +423,7 @@ class TestClassKeyInvariance:
         assert images > len(self.GROUPS) * len(states)
 
     def test_simple_states(self):
-        indices, states = moebius_states(3)
+        indices, states = moebius_simple_census(3)
         rng = random.Random(5)
         sample = rng.sample(sorted(states), 60)
 
@@ -473,18 +483,119 @@ class TestWalk:
 
     def test_state_cap_boundary(self):
         """A walk raises exactly when it finds more than ``limit`` states."""
-        assert len(moebius_states(3, limit=472)[1]) == 472
+        assert len(moebius_simple_census(3, limit=472)[1]) == 472
         with pytest.raises(ResourceLimit) as exc:
-            moebius_states(3, limit=471)
+            moebius_simple_census(3, limit=471)
         assert exc.value.details["partial"] == 472
 
+    def test_orbit_cap_boundary(self):
+        """The orbit walk's cap counts orbit representatives."""
+        assert len(moebius_states(3, limit=118)[1]) == 118
+        with pytest.raises(ResourceLimit) as exc:
+            moebius_states(3, limit=117)
+        assert exc.value.details["partial"] == 118
+
     def test_progress_goes_to_stderr(self, capsys):
-        moebius_census_rows(3, progress=100)
+        """A line every 25 of the 118 expanded orbits, and the three phase
+        lines."""
+        moebius_census_rows(3, progress=25)
         out, err = capsys.readouterr()
         assert out == ""
         lines = err.splitlines()
         assert sum(line.startswith("expanded ") for line in lines) >= 4
         assert sum(line.startswith("phase ") for line in lines) == 3
+
+
+def simple_orbit_keys(indices, evens, words, tags):
+    """Sorted orbit keys of the flips of a marked simple state, as the
+    orbit walk finds them."""
+    return sorted(_canonical_marked(indices, nw,
+                                    _marked_face(indices, pairs, survivor),
+                                    evens)
+                  for nw, pairs, survivor
+                  in _marked_flips(indices, words, min(tags)))
+
+
+def heavy_orbit_keys(indices, evens, state):
+    """Sorted orbit keys of the merges and splits of a marked heavy
+    state."""
+    return sorted(_canonical_marked(indices, *_heavy_marked(st), evens)
+                  for st in _heavy_steps(state))
+
+
+class TestOrbitWalk:
+    """The crosscap walks store one state per orbit of the even
+    reorientations; they are sound because a move commutes with every
+    signed relabeling."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cosets_cover_the_signed_group_once(self, n):
+        indices = tuple(range(1, n + 1))
+        evens, cosets = _even_cosets(indices)
+        products = [sorted(c.compose(e).images.items())
+                    for c in cosets for e in evens]
+        assert len(products) == len({tuple(p) for p in products}) \
+            == len(SignedPermutation.all(indices))
+
+    def test_representatives_are_the_plain_walk_orbits(self):
+        """The orbit keys of the 472 states of the plain walk are the 118
+        keys of the orbit walk, and each stored representative has its
+        own key."""
+        indices, plain = moebius_simple_census(3)
+        _, reps = moebius_states(3)
+        evens = _even_cosets(indices)[0]
+        assert len(plain) == 472 and len(reps) == 118
+        assert {_canonical_marked(indices, words,
+                                  marked_descriptors(indices, words, desc),
+                                  evens)
+                for words, desc in plain.values()} == set(reps)
+        for key, (words, desc) in reps.items():
+            tags = marked_descriptors(indices, words, desc)
+            assert desc in tags
+            assert _canonical_marked(indices, words, tags, evens) == key
+
+    def test_simple_flips_are_equivariant(self):
+        """For every representative x and every even reorientation sigma,
+        the flips of sigma.x lie in the orbits of the flips of x."""
+        indices, reps = moebius_states(3)
+        evens = _even_cosets(indices)[0]
+        assert len(evens) == 4
+        for words, desc in reps.values():
+            tags = marked_descriptors(indices, words, desc)
+            want = simple_orbit_keys(indices, evens, words, tags)
+            assert want
+            for sigma in evens:
+                inv = sigma.inverse()
+                nw = act_words(sigma, indices, words)
+                ntags = frozenset(transport_descriptor(inv, d) for d in tags)
+                assert marked_descriptors(indices, nw, min(ntags)) == ntags
+                assert simple_orbit_keys(indices, evens, nw, ntags) == want
+
+    def test_heavy_steps_are_equivariant(self, lifted):
+        """The same for merges and splits, on lifted simple states and on
+        every admissible cell of a merge of each."""
+        indices, _, heavy = lifted
+        evens = _even_cosets(indices)[0]
+        rng = random.Random(13)
+        states = [heavy[k] for k in rng.sample(sorted(heavy), 6)]
+        for arr, _ in list(states):
+            t, m = rng.choice(triangles(arr))
+            merged = apply_move(arr, MutationMove("merge", t, m))
+            cx = merged.complex
+            states += [(merged, cx.face_descriptors(c))
+                       for c in cx.admissible_cells()]
+        assert any(not arr.is_simple() for arr, _ in states)
+        for arr, tags in states:
+            want = heavy_orbit_keys(indices, evens, (arr, tags))
+            assert want
+            sigma = rng.choice(evens[1:])
+            inv = sigma.inverse()
+            acted = arr.act(sigma)
+            ntags = frozenset(transport_descriptor(inv, d) for d in tags)
+            cx = acted.complex
+            assert cx.face_descriptors(
+                cx.face_of[cx.flag_from_descriptor(min(ntags))]) == ntags
+            assert heavy_orbit_keys(indices, evens, (acted, ntags)) == want
 
 
 class TestFlipBookkeeping:
