@@ -59,11 +59,16 @@ from .flags import (
 # lean engine for simple arrangements (states are disk-word families)
 
 
+def _pair_rows(indices, words):
+    """Crossing pair at each position of each disk cycle."""
+    return {i: _slot_positions(words[k], i, _D_ANCHOR)
+            for k, i in enumerate(indices)}
+
+
 def _disk_pairs(indices, words):
-    """Crossing pair at each position of each disk cycle, and the
-    positions of each pair's vertex (see :func:`flags.crossing_positions`)."""
-    pairs = {i: _slot_positions(words[k], i, _D_ANCHOR)
-             for k, i in enumerate(indices)}
+    """:func:`_pair_rows`, and the positions of each pair's vertex (see
+    :func:`flags.crossing_positions`)."""
+    pairs = _pair_rows(indices, words)
     return pairs, crossing_positions(indices, pairs)
 
 
@@ -560,10 +565,10 @@ def moebius_full_census(n, limit=None):
     state per orbit as in :func:`moebius_states`: 531 at n=3, not 2,124."""
     seed = cyclic_thin(n)
     evens, cosets = _even_cosets(seed.indices)
+    evens = _group_actions(seed.indices, evens)
 
     def keyed(state):
-        return _canonical_marked(seed.indices, *_heavy_marked(state),
-                                 evens), state
+        return _canonical_marked(*_heavy_marked(state), evens), state
 
     def seeds():
         for sigma in cosets:
@@ -587,7 +592,7 @@ def moebius_full_census(n, limit=None):
 def _marked_face(indices, pairs, desc):
     """Descriptors of the face holding flag ``desc``, found by walking that
     face alone (no full state build); ``pairs`` are the crossing pairs of
-    the disk cycles, as :func:`_disk_pairs` gives them."""
+    the disk cycles, as :func:`_pair_rows` gives them."""
     pos = crossing_positions(indices, pairs)
     i0, (pair0,), eps0, side0 = desc
     start = (i0, pos[pair0][i0], eps0, side0)
@@ -616,10 +621,10 @@ def moebius_states(n, limit=None, progress=None):
     of the even reorientations (:func:`_even_cosets`) will do."""
     indices, base = _thin_words(n)
     evens, cosets = _even_cosets(indices)
+    evens = _group_actions(indices, evens)
 
     def keyed(words, tags):
-        return (_canonical_marked(indices, words, tags, evens),
-                (words, min(tags)))
+        return _canonical_marked(words, tags, evens), (words, min(tags))
 
     def neighbours(key, state):
         for nw, pairs, survivor in _marked_flips(indices, *state):
@@ -661,53 +666,79 @@ def _census_groups(indices):
     }
 
 
-def _acted_cycles(indices, cycles, sigma, inv):
-    """Min-rotated cycles of the family acted on by ``sigma`` (with
-    inverse ``inv``), one at a time; each block of ``len(indices)``
-    cycles is acted on alike."""
-    n = len(indices)
-    for b in range(0, len(cycles), n):
-        for k in indices:
-            m = sigma(k)
-            w = cycles[b + indices.index(abs(m))]
-            if m < 0:
-                w = w[::-1]
-            yield W.min_rotation(tuple(inv(x) for x in w))
+class _Action:
+    """A signed permutation ``sigma`` compiled for acting on word families
+    and flag descriptors, built once per walk or quotient.
 
+    ``get`` reads the image of a signed letter under ``sigma``'s inverse;
+    ``order`` gives, for each output cycle of a block, the position of its
+    source cycle and whether that cycle is read backwards
+    (``sigma(k) < 0``); ``transports`` stores the descriptors already
+    transported.
+    """
 
-def _canonical_marked(indices, cycles, tags, group):
-    """Minimum of (acted cycles, least transported tag) over ``group``; a
-    permutation is dropped at the first cycle that exceeds the best."""
-    best = None
-    for sigma in group:
+    __slots__ = ("get", "order", "transports")
+
+    def __init__(self, indices, sigma):
         inv = sigma.inverse()
+        self.get = {x: inv(x) for i in indices for x in (i, -i)}.__getitem__
+        self.order = tuple((indices.index(abs(sigma(k))), sigma(k) < 0)
+                           for k in indices)
+        self.transports = {}
+
+    def cycles(self, cycles):
+        """Min-rotated cycles of the acted family, one at a time; each
+        block of ``len(indices)`` cycles is acted on alike."""
+        get = self.get
+        for b in range(0, len(cycles), len(self.order)):
+            for src, backwards in self.order:
+                w = cycles[b + src]
+                yield W.min_rotation(tuple(map(get, w[::-1] if backwards
+                                               else w)))
+
+    def transport(self, desc):
+        """:func:`transport_descriptor` of ``desc``, computed once."""
+        out = self.transports.get(desc)
+        if out is None:
+            out = self.transports[desc] = transport_descriptor(self.get, desc)
+        return out
+
+
+def _group_actions(indices, group):
+    """The members of ``group``, one :class:`_Action` each."""
+    return [_Action(indices, sigma) for sigma in group]
+
+
+def _canonical_marked(cycles, tags, actions):
+    """Minimum of (acted cycles, least transported tag) over the compiled
+    group ``actions``; a member is dropped at the first cycle that
+    exceeds the best."""
+    best = None
+    for act in actions:
         tied = best is not None
         cand = []
-        for k, w in enumerate(_acted_cycles(indices, cycles, sigma, inv)):
+        for k, w in enumerate(act.cycles(cycles)):
             if tied:
                 if w > best[0][k]:
                     break
                 tied = w == best[0][k]
             cand.append(w)
         else:
-            tag = min(transport_descriptor(inv, d) for d in tags)
-            key = (tuple(cand), tag)
+            key = (tuple(cand), min(map(act.transport, tags)))
             if best is None or key < best:
                 best = key
     return best
 
 
-def _class_key(indices, cycles, tags, group, odd_pure):
-    """Key of a marked state's class under ``group`` and the word-fixing
-    members of ``odd_pure``."""
+def _class_key(cycles, tags, actions, odd_pure):
+    """Key of a marked state's class under the compiled group ``actions``
+    and the word-fixing members of the compiled ``odd_pure``."""
     family = [W.min_rotation(w) for w in cycles]
     for tau in odd_pure:
-        inv = tau.inverse()
-        if all(a == b for a, b in
-               zip(_acted_cycles(indices, cycles, tau, inv), family)):
-            tags = tags | {transport_descriptor(inv, d) for d in tags}
+        if all(a == b for a, b in zip(tau.cycles(cycles), family)):
+            tags = tags | set(map(tau.transport, tags))
             break
-    return _canonical_marked(indices, cycles, tags, group)
+    return _canonical_marked(cycles, tags, actions)
 
 
 def _phase_keys(indices, states, marked, progress=None):
@@ -718,7 +749,8 @@ def _phase_keys(indices, states, marked, progress=None):
     the d-key of a class is the cycles part of its c-key.  With
     ``progress`` it writes its phase lines to stderr.
     """
-    g = _census_groups(indices)
+    g = {name: _group_actions(indices, group)
+         for name, group in _census_groups(indices).items()}
     keys = states
     for phase, group in zip("abc", ("evens", "perm_evens", "full")):
         if progress:
@@ -727,8 +759,7 @@ def _phase_keys(indices, states, marked, progress=None):
         out = {}
         for t, key in enumerate(keys):
             cycles, tags = marked(states[key])
-            out[key] = _class_key(indices, cycles, tags, g[group],
-                                  g["odd_pure"])
+            out[key] = _class_key(cycles, tags, g[group], g["odd_pure"])
             if progress and t and t % progress == 0:
                 print("  %s %d/%d" % (phase, t, len(keys)),
                       file=sys.stderr, flush=True)
@@ -754,8 +785,8 @@ def _moebius_classes(n, simple_only=True, limit=None, progress=None):
 
         def marked(state):
             words, desc = state
-            return words, _marked_face(
-                indices, _disk_pairs(indices, words)[0], desc)
+            return words, _marked_face(indices, _pair_rows(indices, words),
+                                       desc)
     else:
         indices, states = moebius_full_census(n, limit=limit)
         marked = _heavy_marked

@@ -150,7 +150,8 @@ def _block_carrier(block):
 
 
 def min_rotation(word):
-    """Lexicographically least rotation of a tuple.
+    """Lexicographically least rotation of a tuple; it starts at an
+    occurrence of the least letter, so only those starts are tried.
 
     >>> min_rotation((2, -1, 3))
     (-1, 3, 2)
@@ -158,7 +159,8 @@ def min_rotation(word):
     w = tuple(word)
     if not w:
         return w
-    return min(w[i:] + w[:i] for i in range(len(w)))
+    m = min(w)
+    return min(w[i:] + w[:i] for i, x in enumerate(w) if x == m)
 
 
 def rotations(word):

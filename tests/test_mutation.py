@@ -12,15 +12,18 @@ from dpl.mutation import (
     _canonical_marked,
     _census_groups,
     _class_key,
-    _disk_pairs,
     _even_cosets,
+    _group_actions,
     _heavy_marked,
     _heavy_steps,
     _marked_face,
     _marked_flips,
+    _marked_seeds,
+    _pair_rows,
     _phase_keys,
     _split_candidates,
     _swapped,
+    _thin_words,
     _triangles,
     _words_key,
     act_words,
@@ -208,12 +211,12 @@ class TestProjectiveCensus:
             for _, swaps, _ in st.triangles():
                 nw = _swapped(indices, words, swaps)
                 assert (dict(zip(indices, _swapped(indices, rows, swaps)))
-                        == _disk_pairs(indices, nw)[0])
+                        == _pair_rows(indices, nw))
                 flips += 1
         _, states = moebius_simple_census(3)
         for words, desc in states.values():
             for nw, pairs, _ in _marked_flips(indices, words, desc):
-                assert pairs == _disk_pairs(indices, nw)[0]
+                assert pairs == _pair_rows(indices, nw)
                 flips += 1
         assert flips > len(cen["indexed_classes"]) + len(states)
 
@@ -353,13 +356,13 @@ class TestMoebiusCensus:
         tagsets = {key: (words, marked_descriptors(indices, words, desc))
                    for key, (words, desc) in slow.items()}
         g = _census_groups(indices)
+        evens = _group_actions(indices, g["evens"])
         assert len(slow) == 472 and {
-            _canonical_marked(indices, words, tags, g["evens"])
+            _canonical_marked(words, tags, evens)
             for words, tags in tagsets.values()} == set(fast)
 
         for words, desc in list(slow.values()) + list(fast.values()):
-            assert (_marked_face(indices, _disk_pairs(indices, words)[0],
-                                 desc)
+            assert (_marked_face(indices, _pair_rows(indices, words), desc)
                     == marked_descriptors(indices, words, desc))
         slow_row = (
             reference_marked_classes(indices, tagsets, g["evens"],
@@ -407,17 +410,19 @@ class TestClassKeyInvariance:
 
     def check(self, indices, states, act):
         g = _census_groups(indices)
+        actions = {name: _group_actions(indices, group)
+                   for name, group in g.items()}
         rng = random.Random(8)
         images = 0
         for cycles, tags in states:
             taus = _odd_wordfixing(indices, cycles, g["odd_pure"])
             for phase in self.GROUPS:
-                key = _class_key(indices, cycles, tags, g[phase],
-                                 g["odd_pure"])
+                key = _class_key(cycles, tags, actions[phase],
+                                 actions["odd_pure"])
                 for sigma in [rng.choice(g[phase])] + taus:
                     acted = act(sigma, cycles, tags)
-                    assert _class_key(indices, *acted, g[phase],
-                                      g["odd_pure"]) == key
+                    assert _class_key(*acted, actions[phase],
+                                      actions["odd_pure"]) == key
                     images += 1
         # at least one state has a word-fixing odd sign change
         assert images > len(self.GROUPS) * len(states)
@@ -431,12 +436,12 @@ class TestClassKeyInvariance:
             nw = act_words(sigma, indices, words)
             inv = sigma.inverse()
             ntags = frozenset(transport_descriptor(inv, d) for d in tags)
-            assert _marked_face(indices, _disk_pairs(indices, nw)[0],
+            assert _marked_face(indices, _pair_rows(indices, nw),
                                 min(ntags)) == ntags
             return nw, ntags
 
-        picked = [(words, _marked_face(
-                      indices, _disk_pairs(indices, words)[0], desc))
+        picked = [(words, _marked_face(indices, _pair_rows(indices, words),
+                                       desc))
                   for words, desc in (states[k] for k in sample)]
         self.check(indices, picked, act)
 
@@ -508,18 +513,17 @@ class TestWalk:
 
 def simple_orbit_keys(indices, evens, words, tags):
     """Sorted orbit keys of the flips of a marked simple state, as the
-    orbit walk finds them."""
-    return sorted(_canonical_marked(indices, nw,
-                                    _marked_face(indices, pairs, survivor),
-                                    evens)
+    orbit walk finds them; ``evens`` is the compiled group."""
+    return sorted(_canonical_marked(nw, _marked_face(indices, pairs,
+                                                     survivor), evens)
                   for nw, pairs, survivor
                   in _marked_flips(indices, words, min(tags)))
 
 
-def heavy_orbit_keys(indices, evens, state):
+def heavy_orbit_keys(evens, state):
     """Sorted orbit keys of the merges and splits of a marked heavy
-    state."""
-    return sorted(_canonical_marked(indices, *_heavy_marked(st), evens)
+    state; ``evens`` is the compiled group."""
+    return sorted(_canonical_marked(*_heavy_marked(st), evens)
                   for st in _heavy_steps(state))
 
 
@@ -543,39 +547,41 @@ class TestOrbitWalk:
         own key."""
         indices, plain = moebius_simple_census(3)
         _, reps = moebius_states(3)
-        evens = _even_cosets(indices)[0]
+        evens = _group_actions(indices, _even_cosets(indices)[0])
         assert len(plain) == 472 and len(reps) == 118
-        assert {_canonical_marked(indices, words,
+        assert {_canonical_marked(words,
                                   marked_descriptors(indices, words, desc),
                                   evens)
                 for words, desc in plain.values()} == set(reps)
         for key, (words, desc) in reps.items():
             tags = marked_descriptors(indices, words, desc)
             assert desc in tags
-            assert _canonical_marked(indices, words, tags, evens) == key
+            assert _canonical_marked(words, tags, evens) == key
 
     def test_simple_flips_are_equivariant(self):
         """For every representative x and every even reorientation sigma,
         the flips of sigma.x lie in the orbits of the flips of x."""
         indices, reps = moebius_states(3)
         evens = _even_cosets(indices)[0]
+        actions = _group_actions(indices, evens)
         assert len(evens) == 4
         for words, desc in reps.values():
             tags = marked_descriptors(indices, words, desc)
-            want = simple_orbit_keys(indices, evens, words, tags)
+            want = simple_orbit_keys(indices, actions, words, tags)
             assert want
             for sigma in evens:
                 inv = sigma.inverse()
                 nw = act_words(sigma, indices, words)
                 ntags = frozenset(transport_descriptor(inv, d) for d in tags)
                 assert marked_descriptors(indices, nw, min(ntags)) == ntags
-                assert simple_orbit_keys(indices, evens, nw, ntags) == want
+                assert simple_orbit_keys(indices, actions, nw, ntags) == want
 
     def test_heavy_steps_are_equivariant(self, lifted):
         """The same for merges and splits, on lifted simple states and on
         every admissible cell of a merge of each."""
         indices, _, heavy = lifted
         evens = _even_cosets(indices)[0]
+        actions = _group_actions(indices, evens)
         rng = random.Random(13)
         states = [heavy[k] for k in rng.sample(sorted(heavy), 6)]
         for arr, _ in list(states):
@@ -586,7 +592,7 @@ class TestOrbitWalk:
                        for c in cx.admissible_cells()]
         assert any(not arr.is_simple() for arr, _ in states)
         for arr, tags in states:
-            want = heavy_orbit_keys(indices, evens, (arr, tags))
+            want = heavy_orbit_keys(actions, (arr, tags))
             assert want
             sigma = rng.choice(evens[1:])
             inv = sigma.inverse()
@@ -595,7 +601,77 @@ class TestOrbitWalk:
             cx = acted.complex
             assert cx.face_descriptors(
                 cx.face_of[cx.flag_from_descriptor(min(ntags))]) == ntags
-            assert heavy_orbit_keys(indices, evens, (acted, ntags)) == want
+            assert heavy_orbit_keys(actions, (acted, ntags)) == want
+
+
+def acted_family(indices, sigma, cycles):
+    """Min-rotated cycles of ``act_words``, block by block (disk words,
+    then crosscap words)."""
+    n = len(indices)
+    return sum((_words_key(act_words(sigma, indices, cycles[b:b + n]))
+                for b in range(0, len(cycles), n)), ())
+
+
+def brute_marked_key(indices, cycles, tags, group):
+    """Least (acted cycles, least transported tag) over the signed
+    permutations of ``group``."""
+    return min((acted_family(indices, sigma, cycles),
+                min(transport_descriptor(sigma.inverse(), d) for d in tags))
+               for sigma in group)
+
+
+class TestGroupActions:
+    """Each compiled member acts as the signed permutation it comes from,
+    and the least form over the compiled group is the brute-force one."""
+
+    def check(self, indices, group, states):
+        actions = _group_actions(indices, group)
+        assert len(actions) == len(group)
+        for cycles, tags in states:
+            for sigma, act in zip(group, actions):
+                assert tuple(act.cycles(cycles)) \
+                    == acted_family(indices, sigma, cycles)
+                inv = sigma.inverse()
+                for d in tags:
+                    assert act.transport(d) == transport_descriptor(inv, d)
+            assert _canonical_marked(cycles, tags, actions) \
+                == brute_marked_key(indices, cycles, tags, group)
+
+    def test_census_groups_on_three_curves(self, lifted):
+        """Every member of every census group, on simple states and on
+        lifted and non-simple heavy ones."""
+        indices, states, heavy = lifted
+        rng = random.Random(21)
+        picked = [(words, marked_descriptors(indices, words, desc))
+                  for words, desc in (states[k]
+                                      for k in rng.sample(sorted(states), 12))]
+        for key in rng.sample(sorted(heavy), 5):
+            arr, tags = heavy[key]
+            picked.append(_heavy_marked((arr, tags)))
+            t, m = rng.choice(triangles(arr))
+            merged = apply_move(arr, MutationMove("merge", t, m))
+            cx = merged.complex
+            picked += [_heavy_marked((merged, cx.face_descriptors(c)))
+                       for c in cx.admissible_cells()]
+        assert any(len(d[1]) > 1 for _, tags in picked for d in tags)
+        groups = _census_groups(indices)
+        assert [len(g) for g in groups.values()] == [4, 24, 48, 4]
+        for group in groups.values():
+            self.check(indices, group, picked)
+
+    def test_even_reorientations_on_four_curves(self):
+        """The eight even reorientations, on the seeds of the n=4 orbit
+        walk and one round of their flips."""
+        indices, base = _thin_words(4)
+        evens, cosets = _even_cosets(indices)
+        assert len(evens) == 8
+        seeds = list(_marked_seeds(indices, base, cosets))
+        flips = dict.fromkeys(
+            (nw, _marked_face(indices, pairs, survivor))
+            for words, tags in seeds
+            for nw, pairs, survivor in _marked_flips(indices, words, min(tags)))
+        assert len(seeds) == 336 and len(flips) == 288
+        self.check(indices, evens, seeds + list(flips))
 
 
 class TestFlipBookkeeping:

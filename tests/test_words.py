@@ -83,6 +83,15 @@ class TestCircularWords:
         w = tuple(letters)
         assert W.min_rotation(w) in W.rotations(w)
 
+    @given(st.lists(st.sampled_from((-2, -1, 1, 2)), min_size=1, max_size=6),
+           st.integers(1, 4),
+           st.lists(st.sampled_from((-2, -1, 1, 2)), max_size=6))
+    def test_min_rotation_is_least_of_all_rotations(self, base, repeat, tail):
+        """On words whose least letter repeats, as in the census words,
+        periodic ones (``tail`` empty) included."""
+        w = tuple(base * repeat + tail)
+        assert W.min_rotation(w) == min(W.rotations(w))
+
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=10),
            st.integers(0, 9))
     def test_rotation_invariance(self, letters, r):
