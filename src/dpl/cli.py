@@ -6,6 +6,7 @@ diagnosis on stdout), 2 usage errors.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -258,7 +259,10 @@ def cmd_dot(args):
     return 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on first use; ``parse_args`` keeps no
+    state in it, so every later call of :func:`main` reuses it."""
     top = argparse.ArgumentParser(
         prog="dpl",
         description="arrangements of double pseudolines: validate, "
@@ -320,15 +324,21 @@ def main(argv=None):
     p.add_argument("file")
     p.add_argument("--graph", choices=("flag", "dual"), default="flag")
     p.set_defaults(func=cmd_dot)
+    return top
 
+
+def main(argv=None):
     try:
-        args = top.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except DplError as exc:
         _print(exc.report())
+        return 1
+    except UnicodeDecodeError as exc:
+        _print(FormatError("undecodable input: %s" % exc).report())
         return 1
     except OSError as exc:
         print(json.dumps({"code": "io-error", "message": str(exc)}))

@@ -403,19 +403,68 @@ class FlagComplex:
         raise ValueError("unknown mode %r" % mode)
 
     def _plain(self):
+        """The least BFS encoding over the start flags, one start per
+        automorphism orbit.
+
+        Two starts with equal encodings differ by the automorphism that
+        :meth:`_flag_map` extends from them, and automorphic starts have
+        equal encodings.  So once a start is encoded, its class in a
+        union-find over the flags is done; a start that ties the least
+        encoding unites every flag with its image under that map.  The
+        starts of the least encoding are then the class of the first.
+        """
         if self._plain_key is None:
-            best = None
+            parent = list(range(len(self.flags)))
+            done = [False] * len(self.flags)
+
+            def find(f):
+                while parent[f] != f:
+                    parent[f] = f = parent[parent[f]]
+                return f
+
+            best = first = None
             for start in range(len(self.flags)):
+                r = find(start)
+                if done[r]:
+                    continue
+                done[r] = True
                 enc = self._encode_from(start, best)
                 if enc is None:
                     continue
                 if best is None or enc < best:
-                    best = enc
-                    self._aut_starts = [start]
+                    best, first = enc, start
                 elif enc == best:
-                    self._aut_starts.append(start)
+                    for f, g in enumerate(self._flag_map(first, start)):
+                        a, b = find(f), find(g)
+                        if a != b:
+                            parent[b] = a
+                            done[a] = done[a] or done[b]
+            root = find(first)
+            self._aut_starts = [f for f in range(len(self.flags))
+                                if find(f) == root]
             self._plain_key = repr(best).encode()
         return self._plain_key
+
+    def _flag_map(self, first, start):
+        """The flag map that commutes with the three sigmas and takes
+        ``first`` to ``start``, as a list of flag images.
+
+        The graph is connected and each color is an involution, so the
+        image of one flag fixes the map; it is an automorphism iff the
+        BFS encodings from ``first`` and ``start`` are equal.
+        """
+        sigmas = (self.sigma0, self.sigma1, self.sigma2)
+        phi = [-1] * len(self.flags)
+        phi[first] = start
+        todo = [first]
+        while todo:
+            f = todo.pop()
+            for sig in sigmas:
+                g = sig[f]
+                if phi[g] < 0:
+                    phi[g] = sig[phi[f]]
+                    todo.append(g)
+        return phi
 
     def flag_graph_automorphism_order(self):
         """Order of the automorphism group of the edge-colored flag graph."""
@@ -428,27 +477,11 @@ class FlagComplex:
 
         The start flags that attain the plain canonical key are the images
         of the first of them under the automorphisms (B. D. McKay,
-        "Practical graph isomorphism", 1981).  The graph is connected and
-        each color is an involution, so an automorphism follows from the
-        image of one flag: it commutes with the three sigmas.
+        "Practical graph isomorphism", 1981).
         """
         self._plain()
-        sigmas = (self.sigma0, self.sigma1, self.sigma2)
         first = self._aut_starts[0]
-        out = []
-        for start in self._aut_starts:
-            phi = [-1] * len(self.flags)
-            phi[first] = start
-            todo = [first]
-            while todo:
-                f = todo.pop()
-                for sig in sigmas:
-                    g = sig[f]
-                    if phi[g] < 0:
-                        phi[g] = sig[phi[f]]
-                        todo.append(g)
-            out.append(phi)
-        return out
+        return [self._flag_map(first, start) for start in self._aut_starts]
 
     def curve_map(self, phi):
         """The signed permutation that the flag map ``phi`` induces on the

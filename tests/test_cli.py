@@ -5,7 +5,7 @@ from itertools import permutations, product
 import pytest
 
 from dpl import all_c64, cyclic_thin
-from dpl.cli import main
+from dpl.cli import _parser, main
 from dpl.mutation import MutationMove, apply_move, triangles
 from dpl.words import SignedPermutation
 
@@ -175,6 +175,22 @@ def test_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_reused_parser_keeps_no_state(capsys):
+    """One parser serves every call in a process; no flag or verb of one
+    call shows in a later one."""
+    _parser.cache_clear()
+    want = run(capsys, "validate", "C04")
+    _parser.cache_clear()
+    assert main(["frobnicate"]) == 2
+    assert main(["--help"]) == 0
+    code, out = run(capsys, "validate", "C04", "--human")
+    assert code == 0 and out != want[1]
+    code, out = run(capsys, "iso", "C04", "C07", "--indexed")
+    assert json.loads(out)["mode"] == "indexed"
+    assert run(capsys, "validate", "C04") == want
+    assert _parser.cache_info().misses == 1
+
+
 def test_iso_marked(tmp_path, capsys):
     from dpl import cyclic_thin
     arr = cyclic_thin(3)
@@ -312,10 +328,13 @@ def test_iso_marked_rejects_bad_mark(tmp_path, capsys, mark, want):
     ("check", "indices: 1 2 3\nindices: 1 2 3\nchi 1 2 3: C04(1 2 3)\n"),
     ("check", "indices: 1 2 3\nchi 1 2 3: C64(1 2 3)\n"
               "chi 1 2 3: C04(1 2 3)\n"),
+    # bytes that do not decode as text
+    ("validate", b"\xff\xfeindices: 1 2\n"),
+    ("check", b"\xff\xfeindices: 1 2 3\n"),
 ])
 def test_malformed_file_is_a_format_error(tmp_path, capsys, verb, text):
     path = tmp_path / "bad"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out = run(capsys, verb, str(path))
     assert code == 1
     assert json.loads(out)["code"] == "format-error"

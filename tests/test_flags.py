@@ -55,6 +55,51 @@ def reference_stabilizer(arr):
     return out
 
 
+def reference_plain(cx):
+    """The plain key and its start flags, from encoding every start flag;
+    the reference for ``FlagComplex._plain``, which skips automorphic
+    starts."""
+    best = None
+    for start in range(len(cx.flags)):
+        enc = cx._encode_from(start, best)
+        if enc is None:
+            continue
+        if best is None or enc < best:
+            best = enc
+            starts = [start]
+        elif enc == best:
+            starts.append(start)
+    return repr(best).encode(), starts
+
+
+def relabeled_flip_walk_states():
+    """Seeded flip walks from ``cyclic_thin(n)``, each state under a
+    seeded signed relabeling."""
+    rng = random.Random(11)
+    out = []
+    for n, states in ((3, 4), (4, 4), (5, 4), (6, 1)):
+        arr = cyclic_thin(n)
+        for _ in range(states):
+            for _ in range(n):
+                arr = apply_move(arr, MutationMove(
+                    "flip", *rng.choice(triangles(arr))))
+            out.append(arr.act(rng.choice(SignedPermutation.all(arr.indices))))
+    return out
+
+
+def relabeled_merged_arrangements():
+    """Every merge of a catalog fixture, one per indexed-oriented class,
+    under a seeded signed relabeling."""
+    rng = random.Random(11)
+    merged = {}
+    for fx in catalog.all():
+        for t, m in triangles(fx.arrangement):
+            arr = apply_move(fx.arrangement, MutationMove("merge", t, m))
+            merged.setdefault(arr.key(), arr)
+    return [arr.act(rng.choice(SignedPermutation.all(arr.indices)))
+            for arr in merged.values()]
+
+
 class TestSigmaOneBaseCase:
     def test_all_sixteen_rows(self):
         arr = catalog.arrangement("TwoCurve")
@@ -155,37 +200,39 @@ class TestAutomorphisms:
             assert arr.complex.flag_graph_automorphism_order() == len(stab), arr
 
     def test_relabeled_flip_walk_states_match_reference(self):
-        rng = random.Random(11)
         orders = set()
-        for n, states in ((3, 4), (4, 4), (5, 4), (6, 1)):
-            arr = cyclic_thin(n)
-            for _ in range(states):
-                for _ in range(n):
-                    arr = apply_move(arr, MutationMove(
-                        "flip", *rng.choice(triangles(arr))))
-                acted = arr.act(rng.choice(SignedPermutation.all(arr.indices)))
-                stab = stabilizer(acted)
-                assert stab == reference_stabilizer(acted), (n, acted)
-                orders.add(len(stab))
+        for acted in relabeled_flip_walk_states():
+            stab = stabilizer(acted)
+            assert stab == reference_stabilizer(acted), acted
+            orders.add(len(stab))
         assert orders == {1, 2, 4, 6}
 
     def test_merged_arrangements_match_reference(self):
         """Every merge of a catalog fixture, under a seeded relabeling."""
-        rng = random.Random(11)
-        merged = {}
-        for fx in catalog.all():
-            for t, m in triangles(fx.arrangement):
-                arr = apply_move(fx.arrangement, MutationMove("merge", t, m))
-                merged.setdefault(arr.key(), arr)
-        assert len(merged) == 62
+        cases = relabeled_merged_arrangements()
+        assert len(cases) == 62
         orders = set()
-        for arr in merged.values():
-            assert not arr.is_simple()
-            acted = arr.act(rng.choice(SignedPermutation.all(arr.indices)))
+        for acted in cases:
+            assert not acted.is_simple()
             stab = stabilizer(acted)
             assert stab == reference_stabilizer(acted), acted
             orders.add(len(stab))
         assert orders == {1, 2, 6, 24}
+
+    def test_plain_key_matches_full_scan(self):
+        """The plain key and its start flags, with one start encoded per
+        automorphism orbit, equal those of encoding every start."""
+        cases = [fx.arrangement for fx in catalog.all()]
+        cases += [cyclic_thin(n) for n in range(2, 7)]
+        cases += [all_c64(n) for n in range(3, 10)]
+        cases += relabeled_merged_arrangements()
+        cases += relabeled_flip_walk_states()
+        assert len(cases) == 22 + 5 + 7 + 62 + 13
+        for arr in cases:
+            cx = arr.complex
+            key, starts = reference_plain(cx)
+            assert cx.canonical_key("plain") == key, arr
+            assert cx._aut_starts == starts, arr
 
     def test_all_c64_beyond_the_reference(self):
         # order 2n from n = 5 on; the identity is in it and it is closed
