@@ -30,6 +30,7 @@ the nodes the move removes.
 """
 
 import sys
+import weakref
 from collections import deque
 from itertools import permutations, product
 
@@ -434,7 +435,25 @@ def _triangle_move(arr, t, positions, flip=False):
     swaps = [(i, arr.spans[i][a][0]) for i, a in positions]
     new = _swapped(idx, family, swaps,
                    None if flip else arr.complex.face_sides[t])
-    return validate(dict(zip(idx, new)), dict(zip(idx, new[len(idx):])))
+    return _validated(dict(zip(idx, new)), dict(zip(idx, new[len(idx):])))
+
+
+# Arrangements the move layer validated, by their exact words (so spans,
+# flag numbering and faces are those of a fresh validation), for as long
+# as some caller holds them.
+_VALIDATED = weakref.WeakValueDictionary()
+
+
+def _validated(disk, cross):
+    """:func:`validate` of the side-cycle families, or the live arrangement
+    already validated from the same words, with whatever it has built
+    since.  A rejected input is not stored: it raises on every call."""
+    idx = tuple(sorted(disk))
+    key = (idx, tuple(disk[i] for i in idx), tuple(cross[i] for i in idx))
+    arr = _VALIDATED.get(key)
+    if arr is None:
+        arr = _VALIDATED[key] = validate(disk, cross)
+    return arr
 
 
 def _split_candidates(arr, node, m):
@@ -447,7 +466,8 @@ def _split_candidates(arr, node, m):
     follow by blockwise reversal.  Both releases are validated and must
     split the vertex on the same surface.
     """
-    if node not in arr.nodes:
+    # nodes are frozensets; an unhashable locus is unknown too
+    if not isinstance(node, frozenset) or node not in arr.nodes:
         raise IllegalLocus("unknown node %r" % (node,))
     bases = sorted({abs(x) for pair in node for x in pair})
     if len(bases) < 3:
@@ -479,7 +499,7 @@ def _split_candidates(arr, node, m):
                 dw[p], mw[p] = x, y
             disk[c], cross[c] = tuple(dw), tuple(mw)
         try:
-            out = validate(disk, cross)
+            out = _validated(disk, cross)
         except DplError:
             continue
         if node in out.nodes:
@@ -492,6 +512,27 @@ def _split_candidates(arr, node, m):
             "vertex %r admits %d releases of %d, expected 2"
             % (sorted(node), len(outs), m))
     return [outs[k] for k in sorted(outs)]
+
+
+# id(arr) -> {(node, moving): releases}, while ``arr`` lives
+_RELEASES = {}
+
+
+def _releases(arr, node, m):
+    """:func:`_split_candidates`, computed once per locus for as long as
+    ``arr`` lives: :func:`inverse_split` and the :func:`apply_move` of the
+    move it returns ask for the same two releases."""
+    per = _RELEASES.get(id(arr))
+    if per is None:
+        per = _RELEASES[id(arr)] = {}
+        weakref.finalize(arr, _RELEASES.pop, id(arr))
+    try:
+        out = per.get((node, m))
+    except TypeError:       # an unhashable locus, named by the check
+        return _split_candidates(arr, node, m)
+    if out is None:
+        out = per[node, m] = _split_candidates(arr, node, m)
+    return out
 
 
 def apply_move(arr, move):
@@ -516,7 +557,7 @@ def apply_move(arr, move):
     if move.kind == "split":
         if move.side not in ("a", "b"):
             raise IllegalLocus("unknown split side %r" % (move.side,))
-        first, second = _split_candidates(arr, move.locus, move.moving)
+        first, second = _releases(arr, move.locus, move.moving)
         return first if move.side == "a" else second
 
     raise IllegalLocus("unknown move kind %r" % move.kind)
@@ -524,7 +565,7 @@ def apply_move(arr, move):
 
 def inverse_split(arr, merged, node, moving):
     """The split of ``merged`` at ``node`` undoing a merge back to ``arr``."""
-    for side, out in zip("ab", _split_candidates(merged, node, moving)):
+    for side, out in zip("ab", _releases(merged, node, moving)):
         if out.key() == arr.key():
             return MutationMove("split", node, moving, side)
     raise IllegalLocus("no split of %r restores the original" % (sorted(node),))

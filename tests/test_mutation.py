@@ -1,12 +1,15 @@
+import gc
 import random
 from itertools import product
 
 import pytest
 
 from dpl import all_c64, catalog, cyclic_thin, from_disk_only, validate
+from dpl import mutation
 from dpl.errors import DplError, IllegalLocus, ResourceLimit
 from dpl.flags import FlagComplex
 from dpl.mutation import (
+    _VALIDATED,
     MutationMove,
     SimpleState,
     _canonical_marked,
@@ -25,6 +28,7 @@ from dpl.mutation import (
     _swapped,
     _thin_words,
     _triangles,
+    _validated,
     _words_key,
     act_words,
     apply_move,
@@ -151,6 +155,16 @@ class TestMoves:
         for side in ("zz", None, "A"):
             with pytest.raises(IllegalLocus, match="split side"):
                 apply_move(merged, MutationMove("split", node, m, side))
+
+    @pytest.mark.parametrize("locus", [[1, 2], [1], {(1, 2)}, None])
+    def test_unknown_split_locus(self, locus):
+        arr = cyclic_thin(3)
+        t, m = triangles(arr)[0]
+        merged = apply_move(arr, MutationMove("merge", t, m))
+        with pytest.raises(IllegalLocus, match="unknown node"):
+            apply_move(merged, MutationMove("split", locus, m, "a"))
+        with pytest.raises(IllegalLocus, match="unknown node"):
+            inverse_split(arr, merged, locus, m)
 
 
 class TestProjectiveCensus:
@@ -792,3 +806,111 @@ class TestSplitReleases:
                     assert got == reference_releases(arr, node, m)
                     cases += 1
         assert cases == 678
+
+
+def _words(arr):
+    return (tuple(arr.disk[i] for i in arr.indices),
+            tuple(arr.crosscap[i] for i in arr.indices))
+
+
+def seeded_move_walk(n, seed, steps):
+    """Key and exact words of every arrangement a seeded merge / split /
+    flip walk from ``cyclic_thin(n)`` meets: per step a merge, both of its
+    releases (and the side :func:`inverse_split` names) and a flip."""
+    rng = random.Random(seed)
+    arr = cyclic_thin(n)
+    seen = []
+    for _ in range(steps):
+        tris = triangles(arr)
+        t, m = rng.choice(tris)
+        merged = apply_move(arr, MutationMove("merge", t, m))
+        node = next(nd for nd in merged.nodes
+                    if len({abs(x) for p in nd for x in p}) >= 3)
+        move = inverse_split(arr, merged, node, m)
+        outs = [merged, apply_move(merged, move)]
+        outs += [apply_move(merged, MutationMove("split", node, m, side))
+                 for side in "ab"]
+        arr = apply_move(arr, MutationMove("flip", *rng.choice(tris)))
+        seen += [(move.side, out.key(), _words(out)) for out in outs + [arr]]
+    return seen
+
+
+class TestValidatedMemo:
+    """The move layer validates each exact word family once while an
+    arrangement from it lives."""
+
+    def test_live_words_give_the_same_object(self):
+        arr = cyclic_thin(3)
+        t, m = triangles(arr)[0]
+        merged = apply_move(arr, MutationMove("merge", t, m))
+        assert _validated(dict(merged.disk), dict(merged.crosscap)) is merged
+        assert apply_move(arr, MutationMove("merge", t, m)) is merged
+
+    def test_dead_words_are_validated_afresh(self):
+        arr = cyclic_thin(4)
+        t, m = triangles(arr)[0]
+        merged = apply_move(arr, MutationMove("merge", t, m))
+        disk, cross = dict(merged.disk), dict(merged.crosscap)
+        entry = (merged.indices,) + _words(merged)
+        key = merged.key()
+        merged.genus                # builds the complex
+        assert entry in _VALIDATED
+        del merged
+        gc.collect()
+        assert entry not in _VALIDATED
+        fresh = _validated(disk, cross)
+        assert fresh._complex is None
+        assert fresh.key() == key
+
+    def test_rotated_family_is_its_own_entry(self):
+        arr = cyclic_thin(3)
+        t, m = triangles(arr)[0]
+        merged = apply_move(arr, MutationMove("merge", t, m))
+        disk, cross = dict(merged.disk), dict(merged.crosscap)
+        disk[1] = disk[1][1:] + disk[1][:1]
+        rotated = _validated(disk, cross)
+        assert rotated is not merged
+        assert rotated.key() == merged.key()
+        assert rotated.spans[1] != merged.spans[1]
+        assert _validated(disk, cross) is rotated
+
+    def test_rejected_family_raises_every_time(self, monkeypatch):
+        calls = []
+
+        def counted(disk, cross):
+            calls.append(1)
+            return validate(disk, cross)
+
+        monkeypatch.setattr(mutation, "validate", counted)
+        arr = cyclic_thin(3)
+        disk, cross = dict(arr.disk), dict(arr.crosscap)
+        disk[1] = disk[1][1:]       # one letter short
+        for _ in range(2):
+            with pytest.raises(DplError):
+                _validated(disk, cross)
+        assert len(calls) == 2
+        assert (arr.indices, tuple(disk[i] for i in arr.indices),
+                tuple(cross[i] for i in arr.indices)) not in _VALIDATED
+
+    @staticmethod
+    def unmemoize(monkeypatch):
+        """Validate every family and compute every release afresh."""
+        monkeypatch.setattr(mutation, "_validated", validate)
+        monkeypatch.setattr(mutation, "_releases", _split_candidates)
+
+    def test_heavy_walk_matches_unmemoized(self, monkeypatch):
+        def walk():
+            _, states = moebius_full_census(3)
+            return [(key, _words(arr), tags)
+                    for key, (arr, tags) in states.items()]
+
+        memo = walk()
+        self.unmemoize(monkeypatch)
+        assert walk() == memo
+        assert len(memo) == 531
+
+    def test_seeded_moves_match_unmemoized(self, monkeypatch):
+        cases = [(3, 30), (4, 12), (5, 6)]
+        memo = [seeded_move_walk(n, n, steps) for n, steps in cases]
+        self.unmemoize(monkeypatch)
+        assert [seeded_move_walk(n, n, steps) for n, steps in cases] == memo
