@@ -16,6 +16,8 @@ two-curve arrangement and on the published pair of arrangements sharing
 their disk cycles (see README).
 """
 
+from itertools import combinations
+
 from . import words as W
 from .errors import (
     BadSignPattern,
@@ -90,12 +92,15 @@ def _decompose(S, T_given, max_block, carrier):
     ``(p + shift) % L`` of the given crosscap cycle, and ``spans`` lists the
     prime-factor position tuples in walk order.
 
-    The crossing pairs of a cycle are distinct, so ``S[0]`` lies in a
-    factor of at most ``max_block`` letters, whose reversal puts ``S[0]``
-    within ``max_block - 1`` places of walk position 0: that leaves
-    ``2 * max_block - 1`` shifts.  For each shift and each start of the
-    first factor at most ``max_block - 1`` places before position 0, the
-    factors are forced (see :func:`_forced_factors`).
+    Nothing is searched.  Put ``u[q] = q + w(q) (mod L)``, ``w(q)`` the
+    walk position of the pair at crosscap position ``q``.  A factor of
+    ``k`` letters reversed at crosscap positions ``c`` on has
+    ``u = 2c + k - 1 - shift`` all along, and the next one, of ``k'``
+    letters, ``u`` larger by ``k + k'``.  With three or more factors
+    ``0 < k + k' < L``, so the factors are the maximal runs of equal ``u``.
+    A constant ``u`` leaves one or two factors, read off every choice of
+    one or two cuts; :func:`validate` never gets there, as its cycles of
+    ``4 * max_block`` letters need more than two factors.
     """
     L = len(S)
     if sorted(S) != sorted(T_given):
@@ -103,15 +108,15 @@ def _decompose(S, T_given, max_block, carrier):
             "disk and crosscap slots of %d disagree" % carrier, carrier=carrier
         )
     walk_pos = {pair: p for p, pair in enumerate(S)}
-    walk_of = [walk_pos[pair] for pair in T_given]
-    shifts = sorted({(walk_of.index(0) - d) % L
-                     for d in range(1 - max_block, max_block)}) if L else ()
-    solutions = {}
-    for r in shifts:
-        for start in range(0, -max_block, -1):
-            spans = _forced_factors(S, walk_of, r, start, max_block, carrier)
-            if spans is not None:
-                solutions.setdefault(frozenset(spans), r)
+    u = [(q + walk_pos[pair]) % L for q, pair in enumerate(T_given)]
+    cuts = [q for q in range(L) if u[q] != u[q - 1]]
+    if cuts:
+        options = [cuts]
+    else:  # one factor or two
+        options = ([[c] for c in range(L)]
+                   + [list(cd) for cd in combinations(range(L), 2)])
+    solutions = [sol for sol in (_factors(S, u, cs, max_block, carrier)
+                                 for cs in options) if sol is not None]
     if not solutions:
         raise NoBlockDecomposition(
             "no blockwise-reversed factorization for cycle of %d" % carrier,
@@ -122,35 +127,28 @@ def _decompose(S, T_given, max_block, carrier):
             "ambiguous factorization for cycle of %d" % carrier,
             carrier=carrier, count=len(solutions),
         )
-    spans_set, r = solutions.popitem()
-    spans = sorted(spans_set, key=lambda span: span[0])
-    return r, tuple(spans)
+    return solutions[0]
 
 
-def _forced_factors(S, walk_of, r, start, max_block, carrier):
-    """The factors of the cycle from walk position ``start`` on, each
-    reversed by the crosscap cycle shifted by ``r``, or None.
-
-    ``walk_of[x]`` is the walk position of the pair at position ``x`` of
-    the crosscap cycle.  A factor starting at ``a`` ends where the
-    crosscap pair at ``a`` sits in the walk, which fixes its length.
-    """
+def _factors(S, u, cuts, max_block, carrier):
+    """``(shift, spans)`` of the factors starting at the crosscap positions
+    ``cuts``, or None: each factor fixes the shift, which all must share,
+    and holds at most ``max_block`` letters of distinct co-indices."""
     L = len(S)
-    spans = []
-    a = start
-    while a < start + L:
-        k = (walk_of[(a + r) % L] - a) % L + 1
-        if k > max_block or a + k > start + L:
+    shifts, spans = set(), []
+    for c, d in zip(cuts, cuts[1:] + [cuts[0] + L]):
+        k = d - c
+        if k > max_block:
             return None
-        span = tuple((a + t) % L for t in range(k))
-        if any(walk_of[(p + r) % L] != span[-1 - t]
-               for t, p in enumerate(span)):
-            return None
+        r = (2 * c + k - 1 - u[c]) % L
+        span = tuple((c - r + t) % L for t in range(k))
         if len({abs(W.co_index(S[p], carrier)) for p in span}) != k:
             return None
+        shifts.add(r)
         spans.append(span)
-        a += k
-    return spans
+    if len(shifts) != 1:
+        return None
+    return shifts.pop(), tuple(sorted(spans, key=lambda span: span[0]))
 
 
 def _node_of_block(block):

@@ -6,6 +6,8 @@ asserted wholesale by the test suite.
 """
 
 import json
+from copy import deepcopy
+from functools import cache
 from importlib import resources
 
 from .arrangement import parse_text
@@ -39,9 +41,16 @@ def _data(name):
     return resources.files(__package__).joinpath("catalog_data", name)
 
 
+@cache
 def _expected():
     with _data("expected.json").open() as fh:
         return json.load(fh)
+
+
+@cache
+def _parsed(name):
+    with _data(name + ".dpl").open() as fh:
+        return parse_text(fh.read())
 
 
 def names():
@@ -49,14 +58,9 @@ def names():
 
 
 def get(name):
-    """Fixture by name; see :func:`names` for the catalog."""
-    table = _expected()
-    if name not in table:
-        raise UnknownFixture("no fixture %r (have: %s)"
-                             % (name, ", ".join(sorted(table))))
-    with _data(name + ".dpl").open() as fh:
-        arr = parse_text(fh.read())
-    return Fixture(name, arr, table[name])
+    """Fixture by name; see :func:`names` for the catalog.  Its arrangement
+    is shared (see :func:`arrangement`); its ``expected`` table is its own."""
+    return Fixture(name, arrangement(name), deepcopy(_expected()[name]))
 
 
 def all():
@@ -64,4 +68,10 @@ def all():
 
 
 def arrangement(name):
-    return get(name).arrangement
+    """The fixture's arrangement, parsed and validated once per process;
+    every caller shares it, complex and keys included."""
+    table = _expected()
+    if name not in table:
+        raise UnknownFixture("no fixture %r (have: %s)"
+                             % (name, ", ".join(sorted(table))))
+    return _parsed(name)

@@ -33,9 +33,8 @@ from .errors import (
 # naming of triple classes
 
 
-@cache
 def _reference(name):
-    """The catalog class ``name`` on indices 1, 2, 3, read once."""
+    """The catalog class ``name`` on indices 1, 2, 3."""
     ref = catalog.arrangement(name)
     if ref.indices != (1, 2, 3):
         raise FormatError("%s is not a three-curve class" % name)

@@ -243,8 +243,10 @@ def signed_permutations(bases, perms=None, signs=None):
         signs = list(product((1, -1), repeat=len(bases)))
     for perm in perms:
         for sg in signs:
-            yield SignedPermutation({b: s * p
-                                     for b, p, s in zip(bases, perm, sg)})
+            # a bijection by construction: skip the constructor's check
+            sigma = object.__new__(SignedPermutation)
+            sigma.images = {b: s * p for b, p, s in zip(bases, perm, sg)}
+            yield sigma
 
 
 def act_pair(sigma, pair):

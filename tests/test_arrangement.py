@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,13 +296,36 @@ def _slots(arr, i, shift=0):
             _slot_positions(cross, i, _M_ANCHOR))
 
 
+# Five curves through one vertex (prime factors of four letters), reached
+# from a merge of cyclic_thin(5) by flips and by passing a fourth and a
+# fifth curve through its multiple vertex; every restriction to four
+# curves keeps a 4-fold vertex.
+QUINTUPLE = """indices: 1 2 3 4 5
+D 1: 2 3 2 3 4 4 5 -2 -4 -2 -3 5 -3 -4 -5 -5
+D 2: 3 3 4 5 -3 5 1 4 1 -3 -4 -4 -5 -1 -5 -1
+D 3: 4 5 5 1 4 1 2 2 -4 -5 -2 -4 -1 -5 -1 -2
+D 4: 5 5 1 1 2 -5 -1 -5 3 2 3 -1 -2 -2 -3 -3
+D 5: 1 2 3 2 4 1 3 4 -1 -1 -2 -4 -2 -3 -3 -4
+M 1: -2 -3 -2 -3 -4 -4 -5 2 -5 3 2 4 3 4 5 5
+M 2: -3 -3 -4 -5 -4 -1 -5 3 -1 3 4 4 5 1 5 1
+M 3: -4 -5 -5 -1 -4 -1 -2 -2 4 5 5 1 4 2 1 2
+M 4: -5 -5 -1 -1 -2 5 -2 -3 5 1 -3 1 2 2 3 3
+M 5: -1 -2 -1 -4 -2 -3 -3 -4 1 1 2 4 2 3 3 4
+"""
+
+
 def _factorization_cases():
     arrs = [fx.arrangement for fx in catalog.all()]
     arrs += [all_c64(n) for n in range(3, 8)]
-    for name in catalog.THIRTEEN:
-        arr = catalog.arrangement(name)
+    for arr in ([catalog.arrangement(name) for name in catalog.THIRTEEN]
+                + [cyclic_thin(4), cyclic_thin(5)]):
         arrs += [apply_move(arr, MutationMove("merge", t, m))
                  for t, m in triangles(arr)]
+    merged = arrs[-1]
+    arrs.append(apply_move(merged, MutationMove("merge", *triangles(merged)[0])))
+    quintuple = parse_text(QUINTUPLE)
+    arrs += [quintuple] + [quintuple.restriction(J)
+                           for J in combinations(quintuple.indices, 4)]
     return arrs
 
 
@@ -318,6 +342,11 @@ class TestFactorization:
                     assert shift or got == (0, arr.spans[i])
                     cases += 1
         assert cases > 1500
+
+    def test_cases_reach_factors_of_four_letters(self):
+        lengths = {len(span) for arr in _factorization_cases()
+                   for i in arr.indices for span in arr.spans[i]}
+        assert lengths == {1, 2, 3, 4}
 
     FIXTURES = [fx.arrangement for fx in catalog.all()] + [all_c64(4)]
 

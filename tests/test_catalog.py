@@ -1,6 +1,7 @@
 import pytest
 
 from dpl import catalog
+from dpl.cli import main
 from dpl.errors import UnknownFixture
 from dpl.flags import automorphism_order, orbit_count
 
@@ -31,6 +32,23 @@ def test_fixture_self_consistency():
         assert orbit_count(arr) == exp["orbit_count"], fx.name
         assert arr.is_simple() == exp["simple"], fx.name
         assert arr.is_thin() == exp["thin"], fx.name
+
+
+def test_expected_table_is_each_fixtures_own(capsys):
+    """Fixtures share their arrangement but not their expected table."""
+    assert main(["catalog", "C04"]) == 0
+    want = capsys.readouterr().out
+    fx = catalog.get("C04")
+    assert catalog.get("C04").arrangement is fx.arrangement
+    fx.expected["genus"] = 99
+    fx.expected["f_vector"]["3"] = -1
+    fx.expected.clear()
+    again = catalog.get("C04")
+    assert again.expected["genus"] == 1
+    assert again.expected["f_vector"] == {"3": 4, "4": 9}
+    assert main(["catalog", "C04"]) == 0
+    assert capsys.readouterr().out == want
+    test_fixture_self_consistency()
 
 
 def test_thirteen_are_the_projective_classes():

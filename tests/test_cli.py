@@ -191,6 +191,29 @@ def test_reused_parser_keeps_no_state(capsys):
     assert _parser.cache_info().misses == 1
 
 
+def test_iso_on_fixtures_reuses_the_catalog(capsys, monkeypatch):
+    """A catalog fixture is parsed, validated and given its complex once
+    per process: a repeated ``iso`` validates nothing and builds nothing."""
+    from dpl import arrangement, flags
+    calls = {"validate": 0, "complex": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(arrangement, "validate",
+                        counted("validate", arrangement.validate))
+    monkeypatch.setattr(flags, "FlagComplex",
+                        counted("complex", flags.FlagComplex))
+    first = run(capsys, "iso", "C04", "C07")
+    before = dict(calls)
+    assert run(capsys, "iso", "C04", "C07") == first
+    assert calls == before
+    assert first[1].startswith('{"isomorphic": false')
+
+
 def test_iso_marked(tmp_path, capsys):
     from dpl import cyclic_thin
     arr = cyclic_thin(3)

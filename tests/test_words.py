@@ -120,6 +120,18 @@ class TestSignedPermutation:
         with pytest.raises(MalformedWord):
             W.SignedPermutation({1: 2, 2: 2})
 
+    def test_members_match_checked_copies(self):
+        """The enumeration skips the constructor's bijection check; its
+        members equal, and hash like, copies that pass it."""
+        members = W.SignedPermutation.all(range(1, 5))
+        assert len(members) == 384
+        for m in members:
+            copy = W.SignedPermutation(m.images)
+            assert copy == m and hash(copy) == hash(m)
+            assert copy.images is not m.images
+        with pytest.raises(MalformedWord):
+            W.SignedPermutation({1: -2, 2: 2, 3: 4, 4: 1})
+
     def test_signed_permutations_order(self):
         """Permutation-major, sign vectors in ``product`` order; a choice
         of permutations and sign vectors keeps that order."""
