@@ -17,6 +17,7 @@ from .arrangement import (
     _D_ANCHOR,
     _M_ANCHOR,
     _slot_positions,
+    family_key,
     from_disk_only,
     validate,
 )
@@ -41,15 +42,32 @@ def _reference(name):
     return ref
 
 
+def _substituted(arr, sub):
+    """The side cycles of ``arr`` with each index ``r`` substituted by
+    ``sub[r]``, as disk and crosscap dicts; a negative image reorients the
+    curve."""
+    def letter(x):
+        return sub[x] if x > 0 else -sub[-x]
+
+    disk, cross = {}, {}
+    for r, t in sub.items():
+        d, m = arr.disk[r], arr.crosscap[r]
+        if t < 0:
+            d, m = d[::-1], m[::-1]
+        disk[abs(t)] = tuple(letter(x) for x in d)
+        cross[abs(t)] = tuple(letter(x) for x in m)
+    return disk, cross
+
+
 @cache
 def _name_table():
     """Canonical words on (1,2,3) -> (class name, signed images)."""
     table = {}
     for name in catalog.THIRTEEN:
         ref = _reference(name)
-        for sigma in W.SignedPermutation.all((1, 2, 3)):
-            images = tuple(sigma.inverse()(r) for r in (1, 2, 3))
-            key = ref.acted_key(sigma)
+        for sigma in W.signed_permutations((1, 2, 3)):
+            images = tuple(sigma.images[r] for r in (1, 2, 3))
+            key = family_key((1, 2, 3), *_substituted(ref, sigma.images))
             prev = table.get(key)
             if prev is None or (prev[0] == name and images < prev[1]):
                 table[key] = (name, images)
@@ -61,46 +79,31 @@ def class_version(name, images):
 
     ``class_version("C04", (1, 5, 3))`` is the arrangement on indices
     {1, 3, 5} whose letters substitute 1 -> 1, 2 -> 5, 3 -> 3; a negative
-    image reorients the curve.
+    image reorients the curve.  Its disk cycles are least rotations.
+
+    >>> class_version("C04", (1, 5, 3)).indices
+    (1, 3, 5)
     """
     if len(images) != 3 or len({abs(t) for t in images}) != 3 or 0 in images:
         raise FormatError("class %s needs three distinct nonzero images, "
                           "got %r" % (name, tuple(images)))
-    ref = _reference(name)
-    sub = dict(zip((1, 2, 3), images))
-
-    def rl(x):
-        return sub[abs(x)] if x > 0 else -sub[abs(x)]
-
-    disk, cross = {}, {}
-    for r in (1, 2, 3):
-        t = sub[r]
-        d, m = ref.disk[r], ref.crosscap[r]
-        if t < 0:
-            d, m = d[::-1], m[::-1]
-        disk[abs(t)] = tuple(rl(x) for x in d)
-        cross[abs(t)] = tuple(rl(x) for x in m)
-    return validate(disk, cross)
+    disk, cross = _substituted(_reference(name), dict(zip((1, 2, 3), images)))
+    return validate({i: W.min_rotation(w) for i, w in disk.items()}, cross)
 
 
 def entry_name(arr):
     """Pretty name of a 3-curve class, or None for unnamed classes.
 
     The arrangement is relabeled order-preservingly onto (1,2,3) before
-    lookup; the reported images live in the arrangement's own indices.
+    lookup; the reported images live in the arrangement's own indices,
+    the least images that name the class.
+
+    >>> entry_name(class_version("C04", (1, 5, 3)))
+    'C04(-5 -3 1)'
     """
     i, j, k = arr.indices
-    down = {i: 1, j: 2, k: 3}
-
-    def rl(x):
-        return down[abs(x)] if x > 0 else -down[abs(x)]
-
-    std_key = ((1, 2, 3),
-               tuple(W.min_rotation(tuple(rl(x) for x in arr.disk[t]))
-                     for t in (i, j, k)),
-               tuple(W.min_rotation(tuple(rl(x) for x in arr.crosscap[t]))
-                     for t in (i, j, k)))
-    hit = _name_table().get(std_key)
+    hit = _name_table().get(
+        family_key((1, 2, 3), *_substituted(arr, {i: 1, j: 2, k: 3})))
     if hit is None:
         return None
     name, images = hit
@@ -115,27 +118,29 @@ def entry_name(arr):
 
 
 class Chirotope:
-    """Map from 3-subsets to canonicalized triple families.
+    """Map from 3-subsets to their validated triple arrangements.
 
-    A chirotope is not changed after construction.  It shares with its
-    restrictions one store of :func:`extensions4` results per 4-subset,
-    so the 4-subsets common to several 5-subsets are extended once, and
-    one store of validated triple arrangements, so each entry is
-    validated once.
+    ``triples`` maps each 3-subset to the arrangement on it; ``entries``
+    holds the least rotations of its side cycles.  A chirotope is not
+    changed after construction.  Its restrictions hold the same triple
+    arrangements and share with it one store of :func:`extensions4`
+    results per 4-subset, so the 4-subsets common to several 5-subsets
+    are extended once.
     """
 
-    def __init__(self, entries):
+    def __init__(self, triples):
         self._extensions = {}
         self._triples = {}
         self.entries = {}
         indices = set()
-        for J, fam in entries.items():
+        for J, arr in triples.items():
             J = frozenset(J)
             if len(J) != 3:
                 raise FormatError("entry on %r is not a triple" % (sorted(J),))
             indices |= J
-            self.entries[J] = {i: (W.min_rotation(d), W.min_rotation(m))
-                               for i, (d, m) in fam.items()}
+            self._triples[J] = arr
+            _, disk, cross = arr.key()
+            self.entries[J] = dict(zip(arr.indices, zip(disk, cross)))
         self.indices = tuple(sorted(indices))
         if len(self.indices) < 3:
             raise TooFewIndices("a chirotope needs at least 3 indices")
@@ -147,22 +152,15 @@ class Chirotope:
         return self.entries[frozenset(J)]
 
     def entry_arrangement(self, J):
-        J = frozenset(J)
-        if J not in self._triples:
-            fam = self.entries[J]
-            self._triples[J] = validate({i: dm[0] for i, dm in fam.items()},
-                                        {i: dm[1] for i, dm in fam.items()})
-        return self._triples[J]
+        return self._triples[frozenset(J)]
 
     def entry_label(self, J):
         return entry_name(self.entry_arrangement(J))
 
     def restriction(self, J):
         J = frozenset(J)
-        sub = Chirotope({T: self.entries[T]
-                         for T in self.entries if T <= J})
+        sub = Chirotope({T: arr for T, arr in self._triples.items() if T <= J})
         sub._extensions = self._extensions
-        sub._triples = self._triples
         return sub
 
     def _extensions_on(self, J, genus_one):
@@ -176,8 +174,7 @@ class Chirotope:
         return self._extensions[key]
 
     def is_simple(self):
-        return all(self.entry_arrangement(J).is_simple()
-                   for J in self.entries)
+        return all(arr.is_simple() for arr in self._triples.values())
 
     def key(self):
         return tuple(sorted((tuple(sorted(J)),
@@ -195,12 +192,8 @@ def chirotope_of(arr):
     """The chirotope of a validated arrangement on at least 3 indices."""
     if arr.n < 3:
         raise TooFewIndices("chirotope needs at least 3 curves")
-    entries = {}
-    for J in combinations(arr.indices, 3):
-        sub = arr.restriction(J)
-        entries[frozenset(J)] = {i: (sub.disk[i], sub.crosscap[i])
-                                 for i in sub.indices}
-    return Chirotope(entries)
+    return Chirotope({frozenset(J): arr.restriction(J)
+                      for J in combinations(arr.indices, 3)})
 
 
 def _has_chirotope(arr, chi):
@@ -294,8 +287,8 @@ def _carrier_candidates(chi, i, others, kind):
     w_bc = chi.entry((i, b, c))[i][sel]
     c_only = tuple(x for x in w_ac if abs(x) == c)
     want = {frozenset((a, b)): w_ab,
-            frozenset((a, c)): tuple(x for x in w_ac),
-            frozenset((b, c)): tuple(x for x in w_bc)}
+            frozenset((a, c)): w_ac,
+            frozenset((b, c)): w_bc}
     return _merge_words(w_ab, c_only, want)
 
 
@@ -509,7 +502,7 @@ def _ints(text, raw):
 
 def parse_chirotope(text):
     indices = None
-    entries = {}
+    triples = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -523,7 +516,7 @@ def parse_chirotope(text):
             raise FormatError("unparseable line: %r" % raw)
         head, _, body = line[4:].partition(":")
         J = tuple(_ints(head, raw))
-        if frozenset(J) in entries:
+        if frozenset(J) in triples:
             raise FormatError("repeated entry on %r: %r" % (J, raw))
         body = body.strip()
         if "(" in body and body.endswith(")"):
@@ -545,17 +538,16 @@ def parse_chirotope(text):
                 sides[kind[0]] = tuple(_ints(letters, raw))
             if any("D" not in v for v in fam.values()):
                 raise FormatError("entry without a disk cycle: %r" % raw)
-            disk = {i: v["D"] for i, v in fam.items()}
+            disk = {i: W.min_rotation(v["D"]) for i, v in fam.items()}
             cross = {i: v["M"] for i, v in fam.items() if "M" in v}
             arr = validate(disk, cross) if cross else from_disk_only(disk)
         if set(arr.indices) != set(J):
             raise FormatError("entry indices %r do not match header of %r"
                               % (arr.indices, J))
-        entries[frozenset(J)] = {i: (arr.disk[i], arr.crosscap[i])
-                                 for i in arr.indices}
+        triples[frozenset(J)] = arr
     if indices is None:
         raise FormatError("missing 'indices:' header")
-    chi = Chirotope(entries)
+    chi = Chirotope(triples)
     if set(chi.indices) != set(indices):
         raise FormatError("entries do not cover the declared index set")
     return chi

@@ -208,12 +208,9 @@ def test_criterion_7_chirotope_theorems():
     ok5, diag = is_k_chirotope(chi04, 5, diagnose=True)
     assert not ok5 and diag["carrier"] == 1
 
-    entries = {}
-    for J in [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]:
-        arr = class_version("C32", J)
-        entries[frozenset(J)] = {i: (arr.disk[i], arr.crosscap[i])
-                                 for i in arr.indices}
-    assert not is_k_chirotope(Chirotope(entries), 4)
+    triples = {frozenset(J): class_version("C32", J)
+               for J in [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]}
+    assert not is_k_chirotope(Chirotope(triples), 4)
     dt = time.time() - t0
     verdict("7", dt < 30,
             "injectivity at n=3, verbatim martagon entries, round trips, "

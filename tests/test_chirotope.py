@@ -1,3 +1,4 @@
+import doctest
 import functools
 import random
 from importlib import resources
@@ -6,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpl import all_c64, catalog, chirotope, cyclic_thin
+from dpl import all_c64, arrangement, catalog, chirotope, cyclic_thin
 from dpl import words as W
 from dpl.arrangement import _D_ANCHOR, _M_ANCHOR, _slot_positions
 from dpl.chirotope import (
@@ -38,13 +39,11 @@ def c04_versions_on_five(mask):
     lexicographic order) is the C04 version with images ``J``, or with the
     last two images swapped when bit ``t`` of ``mask`` is set; these are the
     two C04 versions on each triple."""
-    entries = {}
+    triples = {}
     for t, J in enumerate(combinations(range(1, 6), 3)):
         images = (J[0], J[2], J[1]) if mask >> t & 1 else J
-        arr = class_version("C04", images)
-        entries[frozenset(J)] = {i: (arr.disk[i], arr.crosscap[i])
-                                 for i in arr.indices}
-    return Chirotope(entries)
+        triples[frozenset(J)] = class_version("C04", images)
+    return Chirotope(triples)
 
 
 def all_c04_on_five():
@@ -194,6 +193,22 @@ def carrier_calls():
     return list(calls.values())
 
 
+def three_curve_validations(monkeypatch):
+    """The index tuples of the 3-curve families validated from now on, by
+    the arrangement module (restrictions) or the chirotope module."""
+    validated = []
+    plain = arrangement.validate
+
+    def counted(disk, crosscap):
+        if len(disk) == 3:
+            validated.append(tuple(sorted(disk)))
+        return plain(disk, crosscap)
+
+    monkeypatch.setattr(arrangement, "validate", counted)
+    monkeypatch.setattr(chirotope, "validate", counted)
+    return validated
+
+
 class TestEntries:
     def test_m1_entries_verbatim(self):
         M1 = catalog.arrangement("M1")
@@ -304,12 +319,9 @@ class TestAxiomCheck:
         assert diag["carrier"] == 1
 
     def test_all_c32_on_four(self):
-        entries = {}
-        for J in [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]:
-            arr = class_version("C32", J)
-            entries[frozenset(J)] = {i: (arr.disk[i], arr.crosscap[i])
-                                     for i in arr.indices}
-        assert not is_k_chirotope(Chirotope(entries), 4)
+        triples = {frozenset(J): class_version("C32", J)
+                   for J in [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]}
+        assert not is_k_chirotope(Chirotope(triples), 4)
 
     def test_valid_five_curve_relations(self):
         chi = chirotope_of(cyclic_thin(5))
@@ -368,18 +380,14 @@ class TestAxiomCheck:
         assert sorted(extended) == list(combinations(range(1, 7), 4))
 
     def test_one_validation_per_triple(self, monkeypatch):
-        validated = []
-        plain = chirotope.validate
-
-        def counted(disk, crosscap):
-            if len(disk) == 3:
-                validated.append(tuple(sorted(disk)))
-            return plain(disk, crosscap)
-
+        """Building the chirotope validates each triple once, through the
+        arrangement's restriction; the 5-subset check validates none."""
+        validated = three_curve_validations(monkeypatch)
         chi = chirotope_of(cyclic_thin(7))
-        monkeypatch.setattr(chirotope, "validate", counted)
+        triples = list(combinations(range(1, 8), 3))
+        assert sorted(validated) == triples
         assert is_k_chirotope(chi, 5)
-        assert sorted(validated) == list(combinations(range(1, 8), 3))
+        assert sorted(validated) == triples
 
     def test_flip_walk_states(self):
         # the main theorem beyond cyclic_thin, M1 and M2: seeded flip walks
@@ -522,6 +530,46 @@ def corrupted_chirotope_texts(draw):
     for _ in range(draw(st.integers(1, 3))):
         tokens[draw(st.integers(0, len(tokens) - 1))] = draw(CHI_TOKENS)
     return " ".join(tokens)
+
+
+class TestParsedTriples:
+    def test_entries_are_the_parsed_arrangements(self, monkeypatch):
+        """A parsed chirotope holds the arrangement each entry line was
+        validated to, and checking it validates no triple again."""
+        merged = cyclic_thin(3)
+        merged = apply_move(merged, MutationMove("merge",
+                                                 *triangles(merged)[0]))
+        path = resources.files("dpl").joinpath("catalog_data",
+                                               "allC04_n5.chi")
+        texts = [path.read_text()]
+        texts += [chirotope_text(chirotope_of(arr))
+                  for arr in (catalog.arrangement("M1"), merged)]
+        assert "|" in texts[2] and "(" not in texts[2]
+        for text in texts:
+            built = {}
+            plain = chirotope.validate
+
+            def recorded(disk, crosscap):
+                arr = plain(disk, crosscap)
+                built[frozenset(arr.indices)] = arr
+                return arr
+
+            monkeypatch.setattr(chirotope, "validate", recorded)
+            chi = parse_chirotope(text)
+            monkeypatch.undo()
+            assert set(built) == set(chi.entries)
+            for J in chi.entries:
+                assert chi.entry_arrangement(J) is built[J]
+            validated = three_curve_validations(monkeypatch)
+            for k in range(3, len(chi.indices) + 1):
+                is_k_chirotope(chi, k)
+            monkeypatch.undo()
+            assert validated == []
+
+
+def test_doctests():
+    result = doctest.testmod(chirotope)
+    assert (result.failed, result.attempted) == (0, 2)
 
 
 class TestParseBoundary:

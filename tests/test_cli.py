@@ -100,6 +100,40 @@ def test_chirotope_and_check_and_reconstruct(tmp_path, capsys):
     assert code == 0
 
 
+RECONSTRUCT_GOLDEN = [
+    ("C04(-3 -2 -1)",
+     "D 1: -3 -3 2 2 3 3 -2 -2\n"
+     "D 2: -3 -3 -1 -1 3 3 1 1\n"
+     "D 3: -2 -2 1 1 2 2 -1 -1\n"
+     "M 1: 3 3 -2 -2 -3 -3 2 2\n"
+     "M 2: 3 3 1 1 -3 -3 -1 -1\n"
+     "M 3: 2 2 -1 -1 -2 -2 1 1\n"),
+    # the chirotope of cyclic_thin(3) merged at its first triangle, with
+    # D1, D2 and M1 written in other rotations than their least ones
+    ("D1= 2 3 3 -2 -2 -3 2 -3 | D2= 3 -1 3 1 1 -3 -3 -1 | "
+     "D3= -2 1 -2 1 2 2 -1 -1 | M1= 3 3 -2 -2 -3 -3 2 2 | "
+     "M2= -3 -3 -1 -1 3 3 1 1 | M3= -2 -2 1 1 2 2 -1 -1",
+     "D 1: -3 2 -3 2 3 3 -2 -2\n"
+     "D 2: -3 -3 -1 3 -1 3 1 1\n"
+     "D 3: -2 1 -2 1 2 2 -1 -1\n"
+     "M 1: 3 3 -2 -2 -3 -3 2 2\n"
+     "M 2: 3 3 1 1 -3 -3 -1 -1\n"
+     "M 3: 2 2 -1 -1 -2 -2 1 1\n"),
+]
+
+
+@pytest.mark.parametrize("entry, cycles", RECONSTRUCT_GOLDEN)
+def test_reconstruct_three_indices_golden(tmp_path, capsys, entry, cycles):
+    """A 3-index chirotope reconstructs to its entry, the disk cycles in
+    least rotation and each crosscap cycle aligned with its disk cycle."""
+    path = tmp_path / "three.chi"
+    path.write_text("indices: 1 2 3\nchi 1 2 3: %s\n" % entry)
+    for extra in ((), ("--any-genus",)):
+        code, out = run(capsys, "reconstruct", str(path), *extra)
+        assert code == 0
+        assert out == "# reconstructed\nindices: 1 2 3\n" + cycles
+
+
 def test_check_rejects_the_thin_five_chirotope(capsys):
     from importlib import resources
     path = resources.files("dpl").joinpath("catalog_data", "allC04_n5.chi")
