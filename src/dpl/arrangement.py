@@ -33,6 +33,13 @@ from .errors import (
 _D_ANCHOR = (-1, -1, 1, 1)
 _M_ANCHOR = (1, 1, -1, -1)
 
+# anchor -> {signs of a co-index's four occurrences, positive as True:
+# the occurrence that gets slot 1}, one entry per rotation of the anchor
+_ANCHOR_STARTS = {
+    anchor: {tuple(anchor[(t - r) % 4] > 0 for t in range(4)): r
+             for r in range(4)}
+    for anchor in (_D_ANCHOR, _M_ANCHOR)}
+
 
 def _slot_positions(word, carrier, anchor):
     """Crossing pair at each position of a side cycle, or raise."""
@@ -45,6 +52,7 @@ def _slot_positions(word, carrier, anchor):
                 carrier=carrier,
             )
         occ.setdefault(base, []).append(p)
+    starts = _ANCHOR_STARTS[anchor]
     pairs = [None] * len(word)
     for base, positions in occ.items():
         if len(positions) != 4:
@@ -53,12 +61,9 @@ def _slot_positions(word, carrier, anchor):
                 % (base, len(positions), carrier),
                 carrier=carrier, co=base,
             )
-        signs = [1 if word[p] > 0 else -1 for p in positions]
-        start = None
-        for r in range(4):
-            if all(signs[(r + t) % 4] == anchor[t] for t in range(4)):
-                start = r
-                break
+        a, b, c, d = positions
+        start = starts.get((word[a] > 0, word[b] > 0, word[c] > 0,
+                            word[d] > 0))
         if start is None:
             raise BadSignPattern(
                 "signs of %d in cycle of %d are not a rotation of the "

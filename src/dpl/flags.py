@@ -4,9 +4,9 @@ A flag is a quadruple ``(node, orientation, support, side)``; there are
 four flags per incidence of a vertex with a curve.  ``sigma2`` flips the
 side, ``sigma0`` walks to the neighbouring vertex along the support, and
 ``sigma1`` switches the support inside the node.  On a simple vertex
-``sigma1`` is the two-curve table below; on a multiple vertex the
-candidates from every 2-subarrangement are ordered by the dominance
-relation and the minimum is taken.
+``sigma1`` is the bit rule of :func:`_crossing_bits` below; on a
+multiple vertex the candidates from every 2-subarrangement are ordered by
+the dominance relation and the minimum is taken.
 """
 
 import math
@@ -14,25 +14,32 @@ from collections import Counter, deque
 
 from . import words as W
 from .arrangement import family_key
-from .errors import GenusNotOne, UnknownIndex
+from .errors import GenusNotOne, MalformedWord, UnknownIndex
 
 # (orientation, side) of the flags at one position, in flag-number order
 _EPS_SIDE = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _LOW = {es: low for low, es in enumerate(_EPS_SIDE)}
 
-# sigma1 sign action per slot of the crossing along the out-support:
-# (orientation, side) -> (orientation', side'), new slot is 1,3,2,4.
-_NEG = {1: -1, -1: 1}
+# sigma1 at a simple vertex, on the low two bits of a flag number: the
+# flag ``low`` of the carrier goes to the flag ``x ^ _SIG1_XOR[low]`` of
+# the co-curve at the same vertex, ``x`` as in :func:`_crossing_bits`.
+_SIG1_XOR = (3, 1, 2, 0)
 
 
-def _sig1_signs(slot, eps, side):
-    if slot == 1:
-        return side, eps
-    if slot == 2:
-        return side, _NEG[eps]
-    if slot == 3:
-        return _NEG[side], eps
-    return _NEG[side], _NEG[eps]
+def _crossing_bits(pair, i):
+    """``(j, x)`` of the crossing ``pair`` seen from the carrier ``i``: the
+    co-curve ``j`` and ``x = 2 * (carrier entry < 0) + (co entry < 0)``,
+    which is 4 minus the slot of :data:`dpl.words.SLOT_SIGNS`.
+
+    >>> _crossing_bits((-2, 1), 1)          # slot 3 along curve 1
+    (2, 1)
+    """
+    a, b = pair
+    if a == i or a == -i:
+        return abs(b), 2 * (a < 0) + (b < 0)
+    if b == i or b == -i:
+        return abs(a), 2 * (b < 0) + (a < 0)
+    raise MalformedWord("pair %r does not involve carrier %d" % (pair, i))
 
 
 def two_curve_step(pair, i, eps, side):
@@ -40,9 +47,12 @@ def two_curve_step(pair, i, eps, side):
 
     Returns ``(j, eps', side')``: the image lies on the co-curve ``j`` at
     the vertex of ``pair``.
+
+    >>> two_curve_step((1, 2), 1, 1, 1)
+    (2, -1, -1)
     """
-    eps2, side2 = _sig1_signs(W.slot_of(pair, i), eps, side)
-    return abs(W.co_index(pair, i)), eps2, side2
+    j, x = _crossing_bits(pair, i)
+    return (j,) + _EPS_SIDE[x ^ _SIG1_XOR[_LOW[(eps, side)]]]
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +93,9 @@ def flag_sigmas(indices, pairs, pos):
 
     ``pairs`` and ``pos`` are as in :func:`crossing_positions`.  sigma0
     moves to the neighbouring position and reverses the orientation,
-    sigma2 flips the side, and sigma1 is the two-curve step at a simple
-    vertex; at a multiple vertex sigma1 is left None for the caller.
+    sigma2 flips the side, and sigma1 is the bit rule of
+    :data:`_SIG1_XOR` at a simple vertex; at a multiple vertex sigma1 is
+    left None for the caller.
     """
     start = {}
     total = 0
@@ -94,17 +105,21 @@ def flag_sigmas(indices, pairs, pos):
     s0 = [0] * (4 * total)
     s1 = [None] * (4 * total)
     for i in indices:
-        row = pairs[i]
-        L = len(row)
-        for p, pair in enumerate(row):
-            f = 4 * (start[i] + p)
-            g = 4 * (start[i] + (p + 1) % L)
+        first = 4 * start[i]
+        last = first + 4 * (len(pairs[i]) - 1)
+        for f in range(first, last + 4, 4):
+            g = f + 4 if f < last else first
             s0[f], s0[f + 1], s0[g + 2], s0[g + 3] = g + 2, g + 3, f, f + 1
-            if pair is None:
-                continue
-            for low, (eps, side) in enumerate(_EPS_SIDE):
-                j, eps2, side2 = two_curve_step(pair, i, eps, side)
-                s1[f + low] = flag_id(start, j, pos[pair][j], eps2, side2)
+    # sigma1 on both curves of each simple vertex: the flags of ``a``'s
+    # curve go to those of ``b``'s at the bits ``x`` of _crossing_bits,
+    # each flag ``low`` to ``x ^ _SIG1_XOR[low]``, and the other way round
+    for (a, b), at in pos.items():
+        fa = 4 * (start[abs(a)] + at[abs(a)])
+        fb = 4 * (start[abs(b)] + at[abs(b)])
+        ga = fb + 2 * (a < 0) + (b < 0)
+        gb = fa + 2 * (b < 0) + (a < 0)
+        s1[fa], s1[fa + 1], s1[fa + 2], s1[fa + 3] = ga ^ 3, ga ^ 1, ga ^ 2, ga
+        s1[fb], s1[fb + 1], s1[fb + 2], s1[fb + 3] = gb ^ 3, gb ^ 1, gb ^ 2, gb
     s2 = [f ^ 1 for f in range(4 * total)]
     return start, s0, s1, s2
 
@@ -138,23 +153,37 @@ def triangle(face, indices, start, pairs):
 
 def face_orbits(sigma0, sigma1):
     """Orbits of <sigma0, sigma1>: sorted flag tuples numbered by their
-    least flag, and the face index of every flag."""
+    least flag, and the face index of every flag.
+
+    Both are involutions without fixed points, so an orbit is the cycle
+    ``f, sigma0 f, sigma1 sigma0 f, ...`` that alternates them back to
+    ``f``.  The two-curve arrangement has three tetragons and two digons:
+
+    >>> from dpl import catalog
+    >>> cx = catalog.arrangement("TwoCurve").complex
+    >>> faces, face_of = face_orbits(cx.sigma0, cx.sigma1)
+    >>> [len(face) // 2 for face in faces]
+    [4, 4, 4, 2, 2]
+    >>> faces[3], face_of[3], face_of[13]
+    ((3, 13, 19, 29), 3, 3)
+    """
     face_of = [-1] * len(sigma0)
     faces = []
     for f in range(len(sigma0)):
         if face_of[f] >= 0:
             continue
         t = len(faces)
-        face_of[f] = t
-        orbit = [f]
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            for h in (sigma0[g], sigma1[g]):
-                if face_of[h] < 0:
-                    face_of[h] = t
-                    orbit.append(h)
-                    stack.append(h)
+        orbit = []
+        g = f
+        while True:
+            h = sigma0[g]
+            orbit.append(g)
+            orbit.append(h)
+            g = sigma1[h]
+            if g == f:
+                break
+        for g in orbit:
+            face_of[g] = t
         faces.append(tuple(sorted(orbit)))
     return tuple(faces), face_of
 

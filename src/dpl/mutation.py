@@ -45,6 +45,10 @@ from .arrangement import (
 )
 from .errors import DplError, IllegalLocus, ResourceLimit
 from .flags import (
+    _EPS_SIDE,
+    _LOW,
+    _SIG1_XOR,
+    _crossing_bits,
     crossing_positions,
     disk_faces,
     face_orbits,
@@ -53,7 +57,6 @@ from .flags import (
     flag_sigmas,
     side_labels,
     triangle,
-    two_curve_step,
 )
 
 # ---------------------------------------------------------------------------
@@ -633,25 +636,29 @@ def moebius_full_census(n, limit=None):
 def _marked_face(indices, pairs, desc):
     """Descriptors of the face holding flag ``desc``, found by walking that
     face alone (no full state build); ``pairs`` are the crossing pairs of
-    the disk cycles, as :func:`_pair_rows` gives them."""
+    the disk cycles, as :func:`_pair_rows` gives them.
+
+    A flag is walked as (curve, position, low bits of its flag number),
+    alternating sigma0 and sigma1 as :func:`flags.face_orbits` does."""
     pos = crossing_positions(indices, pairs)
-    i0, (pair0,), eps0, side0 = desc
-    start = (i0, pos[pair0][i0], eps0, side0)
-    seen = {start}
-    stack = [start]
-    while stack:
-        i, p, eps, side = stack.pop()
-        L = len(pairs[i])
-        nxt = (i, (p + eps) % L, -eps, side)
-        pair = pairs[i][p]
-        j, eps2, side2 = two_curve_step(pair, i, eps, side)
-        swap = (j, pos[pair][j], eps2, side2)
-        for g in (nxt, swap):
-            if g not in seen:
-                seen.add(g)
-                stack.append(g)
-    return frozenset((i, (pairs[i][p],), eps, side)
-                     for i, p, eps, side in seen)
+    i, (pair,), eps, side = desc
+    p = p0 = pos[pair][i]
+    i0 = i
+    low = low0 = _LOW[(eps, side)]
+    out = []
+    while True:
+        row = pairs[i]
+        out.append((i, (row[p],)) + _EPS_SIDE[low])
+        # sigma0: the next position forward, or back at orientation -1
+        p = (p - 1 if low & 2 else p + 1) % len(row)
+        low ^= 2
+        pair = row[p]
+        out.append((i, (pair,)) + _EPS_SIDE[low])
+        i, x = _crossing_bits(pair, i)
+        p = pos[pair][i]
+        low = x ^ _SIG1_XOR[low]
+        if p == p0 and i == i0 and low == low0:
+            return frozenset(out)
 
 
 def moebius_states(n, limit=None, progress=None):
@@ -771,44 +778,65 @@ def _canonical_marked(cycles, tags, actions):
     return best
 
 
-def _class_key(cycles, tags, actions, odd_pure):
-    """Key of a marked state's class under the compiled group ``actions``
-    and the word-fixing members of the compiled ``odd_pure``."""
+def _odd_images(cycles, tags, odd_pure):
+    """``tags`` and their images under the first member of the compiled
+    ``odd_pure`` that fixes the family of ``cycles``, if one does."""
     family = [W.min_rotation(w) for w in cycles]
     for tau in odd_pure:
         if all(a == b for a, b in zip(tau.cycles(cycles), family)):
-            tags = tags | set(map(tau.transport, tags))
-            break
-    return _canonical_marked(cycles, tags, actions)
+            return tags | set(map(tau.transport, tags))
+    return tags
 
 
-def _phase_keys(indices, states, marked, progress=None):
-    """Yield the a-, b- and c-keys of the census quotient, phase by phase.
+def _class_key(cycles, tags, actions, odd_pure):
+    """Key of a marked state's class under the compiled group ``actions``
+    and the word-fixing members of the compiled ``odd_pure``."""
+    return _canonical_marked(cycles, _odd_images(cycles, tags, odd_pure),
+                             actions)
 
-    ``marked(state)`` gives a state's cycles and marked descriptor set.
-    Phase a keys every state, b one state per a-class, c one per b-class;
-    the d-key of a class is the cycles part of its c-key.  With
-    ``progress`` it writes its phase lines to stderr.
+
+# the group of each phase of the census quotient
+_PHASE_GROUPS = {"a": "evens", "b": "perm_evens", "c": "full"}
+
+
+def _phase_keys(indices, states, marked, phases="abc", progress=None):
+    """The a-, b- and c-keys of the census quotient, in one pass: a dict
+    per phase named in ``phases``, a prefix of ``"abc"``.
+
+    ``marked(state)`` gives a state's cycles and marked descriptor set,
+    and :func:`_odd_images` joins the tags once per state.  Phase a keys
+    every state, b the state that opens each a-class, when it opens it,
+    and c the state that opens each b-class; so each dict lists its
+    states in the order of the walk.  The d-key of a class is the cycles
+    part of its c-key.  With ``progress`` it writes a line to stderr
+    every ``progress`` states, and each phase line once the phase's
+    number of states is known.
     """
     g = {name: _group_actions(indices, group)
          for name, group in _census_groups(indices).items()}
-    keys = states
-    for phase, group in zip("abc", ("evens", "perm_evens", "full")):
-        if progress:
-            print("phase %s over %d states" % (phase, len(keys)),
+    odd_pure = g["odd_pure"]
+    actions = [g[_PHASE_GROUPS[phase]] for phase in phases]
+    outs = [{} for _ in phases]
+    classes = [set() for _ in phases]
+    if progress:
+        print("phase a over %d states" % len(states),
+              file=sys.stderr, flush=True)
+    for t, key in enumerate(states):
+        cycles, tags = marked(states[key])
+        tags = _odd_images(cycles, tags, odd_pure)
+        for out, seen, group in zip(outs, classes, actions):
+            ck = out[key] = _canonical_marked(cycles, tags, group)
+            if ck in seen:
+                break
+            seen.add(ck)
+        if progress and t and t % progress == 0:
+            print("  a %d/%d" % (t, len(states)),
                   file=sys.stderr, flush=True)
-        out = {}
-        for t, key in enumerate(keys):
-            cycles, tags = marked(states[key])
-            out[key] = _class_key(cycles, tags, g[group], g["odd_pure"])
-            if progress and t and t % progress == 0:
-                print("  %s %d/%d" % (phase, t, len(keys)),
-                      file=sys.stderr, flush=True)
-        yield out
-        reps = {}
-        for key, ck in out.items():
-            reps.setdefault(ck, key)
-        keys = list(reps.values())
+    if progress:
+        for phase, out in zip(phases[1:], outs[1:]):
+            print("phase %s over %d states" % (phase, len(out)),
+                  file=sys.stderr, flush=True)
+    return outs
 
 
 def _heavy_marked(state):
@@ -831,7 +859,7 @@ def _moebius_classes(n, simple_only=True, limit=None, progress=None):
     else:
         indices, states = moebius_full_census(n, limit=limit)
         marked = _heavy_marked
-    a, b, c = _phase_keys(indices, states, marked, progress)
+    a, b, c = _phase_keys(indices, states, marked, progress=progress)
     d = sorted({ck[0] for ck in c.values()})
     row = {"n": n, "a": len(set(a.values())), "b": len(set(b.values())),
            "c": len(set(c.values())), "d": len(d)}
@@ -859,7 +887,7 @@ def moebius_chirotope_counts(n, limit=None):
     On three indices these are the numbers of crosscap chirotopes.
     """
     indices, heavy = moebius_full_census(n, limit=limit)
-    a = next(_phase_keys(indices, heavy, _heavy_marked))
+    a, = _phase_keys(indices, heavy, _heavy_marked, "a")
     return {"n": n, "total": len(set(a.values())),
             "simple": len({ak for key, ak in a.items()
                            if heavy[key][0].is_simple()})}

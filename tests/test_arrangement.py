@@ -78,6 +78,36 @@ class TestValidate:
         with pytest.raises(BadSignPattern):
             from_disk_only({1: (2, -2, 2, -2), 2: (-1, -1, 1, 1)})
 
+    @pytest.mark.parametrize("word, anchor, error, message, details", [
+        ((2, -2, 2, -2), _D_ANCHOR, BadSignPattern,
+         "signs of 2 in cycle of 1 are not a rotation of the elementary "
+         "cycle", {"carrier": 1, "co": 2}),
+        ((-2, -2, 2, -1, 2), _D_ANCHOR, BadSignPattern,
+         "cycle of 1 contains illegal letter -1", {"carrier": 1}),
+        ((-2, -2, 2), _D_ANCHOR, WrongMultiplicity,
+         "index 2 occurs 3 times in cycle of 1", {"carrier": 1, "co": 2}),
+        ((-2, -2, 2, 2, 2), _D_ANCHOR, WrongMultiplicity,
+         "index 2 occurs 5 times in cycle of 1", {"carrier": 1, "co": 2}),
+        ((3, 3, -3, -3, 2, -2, 2, -2), _M_ANCHOR, BadSignPattern,
+         "signs of 2 in cycle of 1 are not a rotation of the elementary "
+         "cycle", {"carrier": 1, "co": 2}),
+    ])
+    def test_slot_errors(self, word, anchor, error, message, details):
+        """Each slotting error names its carrier and co-index exactly."""
+        with pytest.raises(error) as exc:
+            _slot_positions(word, 1, anchor)
+        assert type(exc.value) is error
+        assert str(exc.value) == message and exc.value.details == details
+
+    def test_slots_of_every_anchor_rotation(self):
+        """Each rotation of an anchor's signs gives slot 1 to the
+        occurrence that starts the anchor pattern."""
+        for anchor in (_D_ANCHOR, _M_ANCHOR):
+            for r in range(4):
+                word = tuple(2 * anchor[(t - r) % 4] for t in range(4))
+                assert _slot_positions(word, 1, anchor) == tuple(
+                    W.pair_of(1, 2, (t - r) % 4 + 1) for t in range(4))
+
     def test_single_curve_rejected(self):
         with pytest.raises(SubsetTooSmall):
             validate({1: ()}, {1: ()})

@@ -1,14 +1,36 @@
+import doctest
 import gc
 import random
 import weakref
+from itertools import combinations
 
 import pytest
 
 from dpl import all_c64, catalog, cyclic_thin
-from dpl.errors import GenusNotOne
-from dpl.flags import automorphism_order, orbit_count, stabilizer
-from dpl.mutation import MutationMove, apply_move, triangles
-from dpl.words import SignedPermutation, min_rotation, pair_of
+from dpl import flags
+from dpl.errors import DplError, GenusNotOne
+from dpl.flags import (
+    automorphism_order,
+    face_orbits,
+    orbit_count,
+    stabilizer,
+    two_curve_step,
+)
+from dpl.mutation import (
+    MutationMove,
+    SimpleState,
+    apply_move,
+    projective_census,
+    triangles,
+)
+from dpl.words import (
+    SLOT_SIGNS,
+    SignedPermutation,
+    co_index,
+    min_rotation,
+    pair_of,
+    slot_of,
+)
 
 # the sixteen rows of the two-curve sigma_1 table:
 # (slot, orientation, side) -> (slot', orientation', side'), support switches
@@ -111,6 +133,86 @@ class TestSigmaOneBaseCase:
             g = cx.sigma1[f]
             node2 = frozenset({pair_of(j, i, k2)})
             assert cx.flags[g] == (cx.node_id[node2], eps2, j, side2), (k, eps, side)
+
+
+class TestSigmaOneRule:
+    """sigma1 at a simple vertex is one bit rule; it must agree with the
+    sixteen-row table read through the slot table."""
+
+    def test_rule_matches_slot_table(self):
+        for n in range(2, 6):
+            for i, j in combinations(range(1, n + 1), 2):
+                for slot, (cs, os_) in SLOT_SIGNS.items():
+                    pair = pair_of(i, j, slot)
+                    for carrier in (i, j):
+                        co = co_index(pair, carrier)
+                        k = slot_of(pair, carrier)
+                        assert SLOT_SIGNS[k] == (
+                            (cs, os_) if carrier == i else (os_, cs))
+                        for eps in (1, -1):
+                            for side in (1, -1):
+                                j2, eps2, side2 = two_curve_step(
+                                    pair, carrier, eps, side)
+                                assert j2 == abs(co)
+                                assert (slot_of(pair, j2), eps2, side2) \
+                                    == SIGMA1_TABLE[(k, eps, side)]
+
+    def test_flag_sigmas_follow_the_rule(self):
+        """Every simple-vertex entry of sigma1, on every fixture."""
+        for fx in catalog.all():
+            cx = fx.arrangement.complex
+            for f, (nd, eps, i, side) in enumerate(cx.flags):
+                node = cx.node_list[nd]
+                if len(node) == 1:
+                    j, eps2, side2 = two_curve_step(next(iter(node)), i,
+                                                    eps, side)
+                    assert cx.sigma1[f] == cx.fid[(nd, eps2, j, side2)]
+
+    def test_rejects_a_foreign_carrier(self):
+        with pytest.raises(DplError, match="does not involve carrier 3"):
+            two_curve_step((1, 2), 3, 1, 1)
+
+
+def reference_face_orbits(sigma0, sigma1):
+    """The stack-based orbit search that the alternating walk replaced."""
+    face_of = [-1] * len(sigma0)
+    faces = []
+    for f in range(len(sigma0)):
+        if face_of[f] >= 0:
+            continue
+        t = len(faces)
+        face_of[f] = t
+        orbit = [f]
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            for h in (sigma0[g], sigma1[g]):
+                if face_of[h] < 0:
+                    face_of[h] = t
+                    orbit.append(h)
+                    stack.append(h)
+        faces.append(tuple(sorted(orbit)))
+    return tuple(faces), face_of
+
+
+class TestFaceOrbits:
+    def check(self, sigma0, sigma1, faces, face_of):
+        assert face_orbits(sigma0, sigma1) == (faces, face_of) \
+            == reference_face_orbits(sigma0, sigma1)
+
+    def test_catalog_and_all_c64(self):
+        arrs = [fx.arrangement for fx in catalog.all()]
+        assert any(not arr.is_simple() for arr in arrs)
+        for arr in arrs + [all_c64(n) for n in range(4, 10)]:
+            cx = arr.complex
+            self.check(cx.sigma0, cx.sigma1, cx.faces, cx.face_of)
+
+    def test_projective_census_states(self):
+        cen = projective_census(3)
+        assert len(cen["indexed_classes"]) == 216
+        for words in cen["indexed_classes"].values():
+            st = SimpleState(cen["indices"], words)
+            self.check(st.s0, st.s1, st.faces, st.face_of)
 
 
 class TestInvolutions:
@@ -344,3 +446,8 @@ class TestLifetime:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def test_doctests():
+    result = doctest.testmod(flags)
+    assert result.attempted > 0 and result.failed == 0

@@ -353,6 +353,105 @@ def phase_counts(indices, states, marked):
             len(set(c.values())), len({ck[0] for ck in c.values()}))
 
 
+def reference_phase_keys(indices, states, marked):
+    """The phase-by-phase quotient that the single pass replaced: phase a
+    keys every state, b one state per a-class, c one per b-class, and
+    each phase reads and keys its states anew."""
+    g = {name: _group_actions(indices, group)
+         for name, group in _census_groups(indices).items()}
+    keys = states
+    phases = []
+    for group in ("evens", "perm_evens", "full"):
+        out = {}
+        for key in keys:
+            cycles, tags = marked(states[key])
+            out[key] = _class_key(cycles, tags, g[group], g["odd_pure"])
+        phases.append(out)
+        reps = {}
+        for key, ck in out.items():
+            reps.setdefault(ck, key)
+        keys = list(reps.values())
+    return phases
+
+
+def simple_marked(indices):
+    """``marked`` of the simple census: the words and the descriptors of
+    the marked cell, by the face walk."""
+    def marked(state):
+        words, desc = state
+        return words, _marked_face(indices, _pair_rows(indices, words), desc)
+    return marked
+
+
+class TestSinglePassQuotient:
+    """One pass keys each state once and gives the dicts of the phase by
+    phase quotient: the same items in the same order."""
+
+    def check(self, indices, states, marked):
+        ref = [list(d.items()) for d in
+               reference_phase_keys(indices, states, marked)]
+        assert [list(d.items())
+                for d in _phase_keys(indices, states, marked)] == ref
+        a, = _phase_keys(indices, states, marked, "a")
+        assert list(a.items()) == ref[0]
+        return [len(d) for d in ref]
+
+    def test_simple_states(self):
+        sizes = []
+        for n in (2, 3):
+            indices, states = moebius_states(n)
+            sizes.append(self.check(indices, states, simple_marked(indices)))
+        assert sizes == [[2, 1, 1], [118, 118, 22]]
+
+    def test_lifted_heavy_states(self, lifted, capsys):
+        indices, _, heavy = lifted
+        assert self.check(indices, heavy, _heavy_marked) == [472, 118, 22]
+        capsys.readouterr()
+        _phase_keys(indices, heavy, _heavy_marked, progress=1000)
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            "phase a over 472 states", "phase b over 118 states",
+            "phase c over 22 states"]
+
+    def test_each_state_read_once(self, lifted, monkeypatch):
+        """Each state is read and keyed once in phase a, and the quotient
+        of the crosscap chirotope counts keys phase a only."""
+        indices, _, heavy = lifted
+        reads = []
+
+        def marked(state):
+            reads.append(state)
+            return _heavy_marked(state)
+
+        keyed = []
+        canonical = mutation._canonical_marked
+
+        def counted(*args):
+            keyed.append(args)
+            return canonical(*args)
+
+        monkeypatch.setattr(mutation, "_canonical_marked", counted)
+        _phase_keys(indices, heavy, marked, "a")
+        assert len(reads) == len(keyed) == len(heavy)
+        del reads[:], keyed[:]
+        _phase_keys(indices, heavy, marked)
+        assert len(reads) == len(heavy)
+        assert len(keyed) == 472 + 118 + 22
+
+        phases = []
+        phase_keys = mutation._phase_keys
+
+        def spy(*args, **kwargs):
+            out = phase_keys(*args, **kwargs)
+            phases.append(len(out))
+            return out
+
+        monkeypatch.setattr(mutation, "_phase_keys", spy)
+        assert mutation.moebius_chirotope_counts(2) \
+            == {"n": 2, "total": 1, "simple": 1}
+        assert phases == [1]
+
+
 class TestMoebiusCensus:
     def test_row_two(self):
         row = moebius_census(2)
