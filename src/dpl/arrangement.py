@@ -41,17 +41,34 @@ _ANCHOR_STARTS = {
     for anchor in (_D_ANCHOR, _M_ANCHOR)}
 
 
+# (carrier, co-index) -> for each start r of the anchor pattern, the
+# crossing pairs of the four occurrences in walk order; each row is built
+# on first use and kept for the process
+_PAIR_ROWS = {}
+
+
+def _pair_row(carrier, base):
+    slots = [W.pair_of(carrier, base, s) for s in (1, 2, 3, 4)]
+    row = _PAIR_ROWS[carrier, base] = tuple(
+        tuple(slots[(q - r) % 4] for q in range(4)) for r in range(4))
+    return row
+
+
 def _slot_positions(word, carrier, anchor):
     """Crossing pair at each position of a side cycle, or raise."""
     occ = {}
     for p, letter in enumerate(word):
-        base = abs(letter)
-        if base == carrier or base == 0:
-            raise BadSignPattern(
-                "cycle of %d contains illegal letter %d" % (carrier, letter),
-                carrier=carrier,
-            )
-        occ.setdefault(base, []).append(p)
+        base = letter if letter > 0 else -letter
+        if base in occ:
+            occ[base].append(p)
+        else:
+            occ[base] = [p]
+    if carrier in occ or 0 in occ:
+        letter = next(x for x in word if x in (carrier, -carrier, 0))
+        raise BadSignPattern(
+            "cycle of %d contains illegal letter %d" % (carrier, letter),
+            carrier=carrier,
+        )
     starts = _ANCHOR_STARTS[anchor]
     pairs = [None] * len(word)
     for base, positions in occ.items():
@@ -70,8 +87,8 @@ def _slot_positions(word, carrier, anchor):
                 "elementary cycle" % (base, carrier),
                 carrier=carrier, co=base,
             )
-        for t in range(4):
-            pairs[positions[(start + t) % 4]] = W.pair_of(carrier, base, t + 1)
+        row = _PAIR_ROWS.get((carrier, base)) or _pair_row(carrier, base)
+        pairs[a], pairs[b], pairs[c], pairs[d] = row[start]
     return tuple(pairs)
 
 
@@ -138,22 +155,28 @@ def _decompose(S, T_given, max_block, carrier):
 def _factors(S, u, cuts, max_block, carrier):
     """``(shift, spans)`` of the factors starting at the crosscap positions
     ``cuts``, or None: each factor fixes the shift, which all must share,
-    and holds at most ``max_block`` letters of distinct co-indices."""
+    and holds at most ``max_block`` letters of distinct co-indices (a
+    one-letter factor trivially)."""
     L = len(S)
-    shifts, spans = set(), []
+    shift, spans = None, []
     for c, d in zip(cuts, cuts[1:] + [cuts[0] + L]):
         k = d - c
         if k > max_block:
             return None
         r = (2 * c + k - 1 - u[c]) % L
+        if shift is None:
+            shift = r
+        elif r != shift:
+            return None
+        if k == 1:
+            spans.append(((c - r) % L,))
+            continue
         span = tuple((c - r + t) % L for t in range(k))
         if len({abs(W.co_index(S[p], carrier)) for p in span}) != k:
             return None
-        shifts.add(r)
         spans.append(span)
-    if len(shifts) != 1:
-        return None
-    return shifts.pop(), tuple(sorted(spans, key=lambda span: span[0]))
+    # the spans partition the positions, so their first entries differ
+    return shift, tuple(sorted(spans))
 
 
 def _node_of_block(block):
@@ -163,10 +186,6 @@ def _node_of_block(block):
         for m in range(l + 1, len(block)):
             out.add(W.otimes(block[l], block[m]))
     return frozenset(out)
-
-
-def _rot(word, r):
-    return tuple(word[(p + r) % len(word)] for p in range(len(word)))
 
 
 class Arrangement:
@@ -354,6 +373,15 @@ def validate(disk, crosscap):
 
     ``disk`` and ``crosscap`` map each index to a sequence of signed
     letters; the rotation of each word is irrelevant.
+
+    >>> arr = validate({1: (-2, -2, 2, 2), 2: (-1, -1, 1, 1)},
+    ...                {1: (2, 2, -2, -2), 2: (1, 1, -1, -1)})
+    >>> arr.S[1]
+    ((-2, -1), (-1, 2), (-2, 1), (1, 2))
+    >>> arr.crosscap[1], arr.spans[1]
+    ((2, 2, -2, -2), ((0,), (1,), (2,), (3,)))
+    >>> arr.node_cycles[2][0]
+    frozenset({(-2, -1)})
     """
     disk = {i: tuple(w) for i, w in disk.items()}
     crosscap = {i: tuple(w) for i, w in crosscap.items()}
@@ -365,58 +393,80 @@ def validate(disk, crosscap):
                           % (indices,))
     if set(crosscap) != set(disk):
         raise FormatError("disk and crosscap cycles cover different indices")
-    allowed = set(indices)
+    letters = set(indices).union([-i for i in indices])
     for i in indices:
-        for x in disk[i] + crosscap[i]:
-            if abs(x) not in allowed:
-                raise UnknownIndex("letter %d outside index set in cycle of %d" % (x, i))
+        for word in (disk[i], crosscap[i]):
+            if not letters.issuperset(word):
+                x = next(x for x in word if x not in letters)
+                raise UnknownIndex(
+                    "letter %d outside index set in cycle of %d" % (x, i))
 
     max_block = len(indices) - 1
-    S, T, spans, aligned = {}, {}, {}, {}
+    S, spans, aligned = {}, {}, {}
     for i in indices:
         S[i] = _slot_positions(disk[i], i, _D_ANCHOR)
         _require_every_co(disk[i], i, indices)
         t_raw = _slot_positions(crosscap[i], i, _M_ANCHOR)
         _require_every_co(crosscap[i], i, indices)
-        r, sp = _decompose(S[i], t_raw, max_block, i)
-        spans[i] = sp
-        aligned[i] = _rot(crosscap[i], r)
-        T[i] = _rot(t_raw, r)
+        r, spans[i] = _decompose(S[i], t_raw, max_block, i)
+        aligned[i] = crosscap[i][r:] + crosscap[i][:r]
 
-    blocksets = {i: {tuple(S[i][p] for p in span) for span in spans[i]}
-                 for i in indices}
+    blocks = {}
+    for i in indices:
+        Si = S[i]
+        blocks[i] = [(Si[span[0]],) if len(span) == 1
+                     else tuple(map(Si.__getitem__, span))
+                     for span in spans[i]]
+    blocksets = {i: set(blocks[i]) for i in indices}
 
+    # a one-letter factor is its own roll and its own node
     nodes = {}
     node_cycles = {}
     for i in indices:
         cyc = []
-        for si, span in enumerate(spans[i]):
-            block = tuple(S[i][p] for p in span)
-            for p in range(1, len(block) + 1):
-                rolled = W.roll(block, p, carrier=i)
-                target = W.co_index(block[p - 1], i)
-                ok = (tuple(rolled) in blocksets[target] if target > 0
-                      else tuple(reversed(rolled)) in blocksets[-target])
-                if not ok:
+        for si, block in enumerate(blocks[i]):
+            if len(block) == 1:
+                a, b = block[0]
+                co = b if a == i or a == -i else a
+                if block not in blocksets[co if co > 0 else -co]:
                     raise RollMismatch(
                         "block %r of %d does not transport to cycle %d"
-                        % (block, i, target),
-                        carrier=i, target=target,
+                        % (block, i, co),
+                        carrier=i, target=co,
                     )
-            node = _node_of_block(block)
-            nodes.setdefault(node, {})
-            if i in nodes[node]:
+                node = frozenset(block)
+            else:
+                for p in range(1, len(block) + 1):
+                    rolled = W.roll(block, p, carrier=i)
+                    target = W.co_index(block[p - 1], i)
+                    ok = (rolled in blocksets[target] if target > 0
+                          else rolled[::-1] in blocksets[-target])
+                    if not ok:
+                        raise RollMismatch(
+                            "block %r of %d does not transport to cycle %d"
+                            % (block, i, target),
+                            carrier=i, target=target,
+                        )
+                node = _node_of_block(block)
+            carriers = nodes.get(node)
+            if carriers is None:
+                carriers = nodes[node] = {}
+            elif i in carriers:
                 raise RollMismatch(
                     "node %r met twice on curve %d" % (sorted(node), i),
                     carrier=i,
                 )
-            nodes[node][i] = si
+            carriers[i] = si
             cyc.append(node)
         node_cycles[i] = tuple(cyc)
 
+    # every carrier of a node is one of its curves, so a one-letter node
+    # seen from two carriers is seen from both of its curves
     for node, carriers in nodes.items():
+        if len(node) == 1 and len(carriers) == 2:
+            continue
         bases = {abs(x) for pair in node for x in pair}
-        if set(carriers) != bases:
+        if carriers.keys() != bases:
             raise RollMismatch(
                 "node %r seen from %r but involves %r"
                 % (sorted(node), sorted(carriers), sorted(bases)),
@@ -475,6 +525,18 @@ def all_c64(n, bases=None):
 # text / json formats
 
 
+def parse_header(line, raw):
+    """The curve indices of the ``indices:`` header ``line`` of the input
+    line ``raw``; each index may occur once."""
+    try:
+        indices = [int(t) for t in line[len("indices:"):].split()]
+    except ValueError as exc:
+        raise FormatError("unparseable line: %r" % raw) from exc
+    if len(set(indices)) != len(indices):
+        raise FormatError("repeated index in 'indices:' header: %r" % raw)
+    return indices
+
+
 def parse_text(text):
     """Parse the one-arrangement text format (see README)."""
     indices = None
@@ -486,10 +548,7 @@ def parse_text(text):
         if line.startswith("indices:"):
             if indices is not None:
                 raise FormatError("repeated 'indices:' header: %r" % raw)
-            try:
-                indices = [int(t) for t in line[len("indices:"):].split()]
-            except ValueError as exc:
-                raise FormatError("unparseable line: %r" % raw) from exc
+            indices = parse_header(line, raw)
             continue
         kind, _, rest = line.partition(" ")
         if kind not in ("D", "M") or ":" not in rest:

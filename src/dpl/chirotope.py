@@ -19,6 +19,7 @@ from .arrangement import (
     _slot_positions,
     family_key,
     from_disk_only,
+    parse_header,
     validate,
 )
 from .errors import (
@@ -510,7 +511,7 @@ def parse_chirotope(text):
         if line.startswith("indices:"):
             if indices is not None:
                 raise FormatError("repeated 'indices:' header: %r" % raw)
-            indices = _ints(line[len("indices:"):], raw)
+            indices = parse_header(line, raw)
             continue
         if not line.startswith("chi "):
             raise FormatError("unparseable line: %r" % raw)

@@ -22,7 +22,9 @@ Conventions used throughout the package:
   :func:`min_rotation` gives the canonical representative.
 """
 
+from collections.abc import Sequence
 from itertools import permutations, product
+from math import factorial
 
 from .errors import MalformedWord
 
@@ -196,8 +198,15 @@ class SignedPermutation:
 
     @classmethod
     def all(cls, bases):
-        """All n! * 2^n signed permutations of the given positive bases."""
-        return list(signed_permutations(bases))
+        """All n! * 2^n signed permutations of the given positive bases,
+        as an indexed sequence in the order of :func:`signed_permutations`;
+        a member is built when it is read.
+
+        >>> group = SignedPermutation.all((1, 2, 3))
+        >>> len(group), group[9], group[-1]
+        (48, SignedPermutation(1 3 -2), SignedPermutation(-3 -2 -1))
+        """
+        return SignedGroup(bases)
 
     def __call__(self, s):
         v = self.images[abs(s)]
@@ -247,6 +256,49 @@ def signed_permutations(bases, perms=None, signs=None):
             sigma = object.__new__(SignedPermutation)
             sigma.images = {b: s * p for b, p, s in zip(bases, perm, sg)}
             yield sigma
+
+
+class SignedGroup(Sequence):
+    """The signed permutations of ``bases`` as a read-only sequence.
+
+    Member ``k`` is member ``k`` of :func:`signed_permutations`: the
+    permutation of rank ``k >> n`` in :func:`itertools.permutations`
+    order, with the sign vector of rank ``k & (2**n - 1)`` in
+    :func:`itertools.product` order.  It is decoded from ``k`` on each
+    read, so the group takes no room; iterating walks the generator.
+    """
+
+    __slots__ = ("bases", "_len")
+
+    def __init__(self, bases):
+        self.bases = tuple(bases)
+        self._len = factorial(len(self.bases)) << len(self.bases)
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        return signed_permutations(self.bases)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(self._len))]
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("signed permutation index out of range")
+        bases = self.bases
+        n = len(bases)
+        rank = k >> n
+        pool = list(bases)
+        images = {}
+        for t, b in enumerate(bases):
+            q, rank = divmod(rank, factorial(n - 1 - t))
+            image = pool.pop(q)
+            images[b] = -image if k >> (n - 1 - t) & 1 else image
+        sigma = object.__new__(SignedPermutation)
+        sigma.images = images
+        return sigma
 
 
 def act_pair(sigma, pair):

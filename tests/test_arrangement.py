@@ -1,3 +1,4 @@
+import doctest
 import random
 from itertools import combinations
 
@@ -12,12 +13,15 @@ from dpl import (
     parse_text,
     validate,
 )
+from dpl import arrangement
 from dpl import words as W
 from dpl.arrangement import _D_ANCHOR, _M_ANCHOR, _decompose, _slot_positions
 from dpl.errors import (
     BadSignPattern,
     DplError,
+    FormatError,
     NoBlockDecomposition,
+    RollMismatch,
     SubsetTooSmall,
     UnknownIndex,
     WrongMultiplicity,
@@ -307,6 +311,111 @@ def reference_decompose(S, T_given, max_block, carrier):
     return r, tuple(sorted(spans_set, key=lambda span: span[0]))
 
 
+def reference_slot_positions(word, carrier, anchor):
+    """Slotting occurrence by occurrence: every rotation of the anchor is
+    tried on each co-index's four signs, and each position's pair is
+    built by :func:`dpl.words.pair_of`."""
+    occ = {}
+    for p, letter in enumerate(word):
+        base = abs(letter)
+        if base == carrier or base == 0:
+            raise BadSignPattern(
+                "cycle of %d contains illegal letter %d" % (carrier, letter),
+                carrier=carrier)
+        occ.setdefault(base, []).append(p)
+    pairs = [None] * len(word)
+    for base, positions in occ.items():
+        if len(positions) != 4:
+            raise WrongMultiplicity(
+                "index %d occurs %d times in cycle of %d"
+                % (base, len(positions), carrier), carrier=carrier, co=base)
+        signs = [1 if word[p] > 0 else -1 for p in positions]
+        starts = [r for r in range(4)
+                  if all(signs[t] == anchor[(t - r) % 4] for t in range(4))]
+        if not starts:
+            raise BadSignPattern(
+                "signs of %d in cycle of %d are not a rotation of the "
+                "elementary cycle" % (base, carrier), carrier=carrier, co=base)
+        for t in range(4):
+            pairs[positions[(starts[0] + t) % 4]] = W.pair_of(
+                carrier, base, t + 1)
+    return tuple(pairs)
+
+
+def reference_validate(disk, crosscap):
+    """:func:`dpl.validate` letter by letter: the letter range, slotting by
+    :func:`reference_slot_positions`, factors by the search of
+    :func:`reference_decompose`, and every factor, one-letter ones too,
+    rolled by :func:`dpl.words.roll` and turned into a node by taking
+    every product :func:`dpl.words.otimes` of two of its pairs.  Returns
+    the fields of the arrangement."""
+    disk = {i: tuple(w) for i, w in disk.items()}
+    crosscap = {i: tuple(w) for i, w in crosscap.items()}
+    indices = tuple(sorted(disk))
+    if len(indices) < 2:
+        raise SubsetTooSmall("an arrangement needs at least 2 curves")
+    if indices[0] <= 0:
+        raise FormatError("curve indices must be positive, got %r"
+                          % (indices,))
+    if set(crosscap) != set(disk):
+        raise FormatError("disk and crosscap cycles cover different indices")
+    for i in indices:
+        for x in disk[i] + crosscap[i]:
+            if abs(x) not in indices:
+                raise UnknownIndex(
+                    "letter %d outside index set in cycle of %d" % (x, i))
+    S, spans, aligned = {}, {}, {}
+    for i in indices:
+        for word, anchor in ((disk[i], _D_ANCHOR), (crosscap[i], _M_ANCHOR)):
+            slotted = reference_slot_positions(word, i, anchor)
+            missing = sorted(set(indices) - {i} - {abs(x) for x in word})
+            if missing:
+                raise WrongMultiplicity(
+                    "index %d occurs 0 times in cycle of %d" % (missing[0], i),
+                    carrier=i, co=missing[0])
+            if anchor is _D_ANCHOR:
+                S[i] = slotted
+        r, spans[i] = reference_decompose(S[i], slotted, len(indices) - 1, i)
+        L = len(crosscap[i])
+        aligned[i] = tuple(crosscap[i][(p + r) % L] for p in range(L))
+    blocks = {i: [tuple(S[i][p] for p in span) for span in spans[i]]
+              for i in indices}
+    nodes, node_cycles = {}, {}
+    for i in indices:
+        cyc = []
+        for si, block in enumerate(blocks[i]):
+            for p in range(1, len(block) + 1):
+                rolled = W.roll(block, p, carrier=i)
+                target = W.co_index(block[p - 1], i)
+                if target < 0:
+                    rolled = tuple(reversed(rolled))
+                if rolled not in blocks[abs(target)]:
+                    raise RollMismatch(
+                        "block %r of %d does not transport to cycle %d"
+                        % (block, i, target), carrier=i, target=target)
+            node = frozenset(block) | {W.otimes(x, y)
+                                       for x, y in combinations(block, 2)}
+            if i in nodes.setdefault(node, {}):
+                raise RollMismatch(
+                    "node %r met twice on curve %d" % (sorted(node), i),
+                    carrier=i)
+            nodes[node][i] = si
+            cyc.append(node)
+        node_cycles[i] = tuple(cyc)
+    for node, carriers in nodes.items():
+        bases = {abs(x) for pair in node for x in pair}
+        if set(carriers) != bases:
+            raise RollMismatch(
+                "node %r seen from %r but involves %r"
+                % (sorted(node), sorted(carriers), sorted(bases)))
+    return disk, aligned, S, spans, nodes, node_cycles
+
+
+def _validated_fields(disk, crosscap):
+    arr = validate(disk, crosscap)
+    return arr.disk, arr.crosscap, arr.S, arr.spans, arr.nodes, arr.node_cycles
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -421,6 +530,114 @@ class TestFactorization:
             _decompose((a, b, c, d), (a, c, b, d), 1, 1)
 
 
+def _same_outcome(disk, crosscap):
+    got = _outcome(_validated_fields, disk, crosscap)
+    assert got == _outcome(reference_validate, disk, crosscap)
+    return got
+
+
+def _rotated(family):
+    """Each word of ``family`` rotated by its curve index."""
+    return {i: w[i % len(w):] + w[:i % len(w)] for i, w in family.items()}
+
+
+def _oracle_families():
+    """Fixtures, generators at n <= 7 and every merge of a fixture, each
+    also with its crosscap words rotated against the disk words."""
+    arrs = [fx.arrangement for fx in catalog.all()]
+    arrs += [cyclic_thin(n) for n in range(2, 8)]
+    arrs += [all_c64(n) for n in range(3, 8)]
+    arrs += [apply_move(fx.arrangement, MutationMove("merge", t, m))
+             for fx in catalog.all() for t, m in triangles(fx.arrangement)]
+    for arr in arrs:
+        yield dict(arr.disk), dict(arr.crosscap)
+        yield dict(arr.disk), _rotated(arr.crosscap)
+
+
+def _corrupted(family, i, kind):
+    """``family`` with the word of curve ``i`` corrupted by ``kind``."""
+    word = list(family[i])
+    co = min(j for j in family if j != i)
+    if kind == "drop":
+        word = [x for x in word if abs(x) != co]
+    elif kind == "double":
+        word = [y for x in word for y in ((x, x) if abs(x) == co else (x,))]
+    elif kind == "swap":
+        word[0], word[1] = word[1], word[0]
+    elif kind == "swap-far":
+        word[0], word[len(word) // 2] = word[len(word) // 2], word[0]
+    elif kind == "negate":
+        word[0] = -word[0]
+    elif kind == "reverse":
+        word.reverse()
+    else:  # a letter outside the index set, zero, or the carrier's own
+        word[1] = {"outside": max(family) + 1, "zero": 0,
+                   "carrier": i, "-carrier": -i}[kind]
+    return {**family, i: tuple(word)}
+
+
+CORRUPTIONS = ("drop", "double", "swap", "swap-far", "negate", "reverse",
+               "outside", "zero", "carrier", "-carrier")
+
+
+class TestValidateOracle:
+    """:func:`validate` gives the fields, or the error, of the letter by
+    letter :func:`reference_validate`."""
+
+    def test_valid_families(self):
+        cases = 0
+        for disk, crosscap in _oracle_families():
+            assert not isinstance(_same_outcome(disk, crosscap)[0], type)
+            cases += 1
+        assert cases > 400
+
+    def test_corrupted_families(self):
+        errors = set()
+        for fx in catalog.all():
+            arr = fx.arrangement
+            for i in arr.indices:
+                for side in ("disk", "crosscap"):
+                    for kind in CORRUPTIONS:
+                        family = {"disk": dict(arr.disk),
+                                  "crosscap": dict(arr.crosscap)}
+                        family[side] = _corrupted(family[side], i, kind)
+                        got = _same_outcome(**family)
+                        if isinstance(got[0], type):
+                            errors.add(got[0])
+        assert errors == {UnknownIndex, BadSignPattern, WrongMultiplicity,
+                          NoBlockDecomposition, RollMismatch}
+
+    def test_header_level_errors(self):
+        two = {1: (-2, -2, 2, 2), 2: (-1, -1, 1, 1)}
+        for disk, crosscap in (({1: ()}, {1: ()}), ({0: (), 1: ()}, two),
+                               (two, {1: two[1]}), ({}, {})):
+            assert isinstance(_same_outcome(disk, crosscap)[0], type)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([fx.arrangement for fx in catalog.all()]
+                           + [all_c64(4), cyclic_thin(4)]), st.data())
+    def test_drawn_corruptions(self, arr, data):
+        family = {"disk": dict(arr.disk), "crosscap": dict(arr.crosscap)}
+        for _ in range(data.draw(st.integers(1, 2))):
+            side = data.draw(st.sampled_from(("disk", "crosscap")))
+            i = data.draw(st.sampled_from(arr.indices))
+            word = list(family[side][i])
+            kind = data.draw(st.sampled_from(("letter", "swap", "rotate")))
+            if kind == "letter":
+                k = arr.n + 1
+                word[data.draw(st.integers(0, len(word) - 1))] = data.draw(
+                    st.integers(-k, k))
+            elif kind == "swap":
+                a, b = data.draw(st.lists(st.integers(0, len(word) - 1),
+                                          min_size=2, max_size=2))
+                word[a], word[b] = word[b], word[a]
+            else:
+                r = data.draw(st.integers(0, len(word) - 1))
+                word = word[r:] + word[:r]
+            family[side][i] = tuple(word)
+        _same_outcome(**family)
+
+
 TOKENS = st.one_of(st.integers(-3, 4).map(str),
                    st.sampled_from(["x", ":", "#", "", "D", "M", "indices:",
                                     "\n", "1.5", "--1"]))
@@ -459,3 +676,8 @@ class TestParseBoundary:
             parse_text(text)
         except DplError:
             pass
+
+
+def test_doctests():
+    result = doctest.testmod(arrangement)
+    assert (result.failed, result.attempted) == (0, 4)

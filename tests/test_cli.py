@@ -397,6 +397,23 @@ def test_malformed_file_is_a_format_error(tmp_path, capsys, verb, text):
     assert json.loads(out)["code"] == "format-error"
 
 
+@pytest.mark.parametrize("verb, text, options", [
+    ("validate", "indices: 1 2 2\nD 1: -2 -2 2 2\nD 2: -1 -1 1 1\n"
+                 "M 1: 2 2 -2 -2\nM 2: 1 1 -1 -1\n", ()),
+    ("validate", "indices: 1 2 2\nD 1: -2 -2 2 2\nD 2: -1 -1 1 1\n", ()),
+    ("check", "indices: 1 2 2 3\nchi 1 2 3: C04(1 2 3)\n", ("--k", "3")),
+])
+def test_repeated_header_index_is_a_format_error(tmp_path, capsys, verb,
+                                                 text, options):
+    path = tmp_path / "bad"
+    path.write_text(text)
+    code, out = run(capsys, verb, str(path), *options)
+    assert code == 1
+    data = json.loads(out)
+    assert data["code"] == "format-error"
+    assert data["message"].startswith("repeated index in 'indices:' header")
+
+
 @pytest.mark.parametrize("entry", [
     "Dx=2 2",
     "D1=2 x",

@@ -1,5 +1,7 @@
 import doctest
 import random
+import tracemalloc
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, strategies as st
@@ -149,6 +151,65 @@ class TestSignedPermutation:
                        and sum(m < 0 for m in s.one_line()) % 2 == 0]
 
 
+class TestSignedGroupOrder:
+    """``SignedPermutation.all`` decodes member ``k`` of the enumeration
+    :func:`dpl.words.signed_permutations` from ``k``."""
+
+    def test_every_member_up_to_five(self):
+        for n in range(6):
+            bases = tuple(range(1, n + 1))
+            group = W.SignedPermutation.all(bases)
+            listed = list(W.signed_permutations(bases))
+            assert len(group) == len(listed)
+            assert [group[k] for k in range(len(group))] == listed
+            assert list(group) == listed
+
+    def test_seeded_members_at_six(self):
+        bases = (2, 3, 5, 7, 8, 9)
+        group = W.SignedPermutation.all(bases)
+        listed = list(W.signed_permutations(bases))
+        assert len(group) == len(listed) == 46080
+        for k in random.Random(6).sample(range(len(listed)), 300):
+            assert group[k].one_line() == listed[k].one_line()
+
+    def test_sequence_protocol(self):
+        group = W.SignedPermutation.all((1, 2, 3))
+        listed = list(group)
+        assert isinstance(group, Sequence)
+        assert group[5:17:3] == listed[5:17:3]
+        assert group[::-7] == listed[::-7] and group[60:] == []
+        assert group[-1] == listed[-1] and group[-48] == listed[0]
+        for k in (48, -49, 10 ** 6):
+            with pytest.raises(IndexError):
+                group[k]
+        assert group.index(listed[20]) == 20 and listed[7] in group
+
+    def test_seeded_choice_unchanged(self):
+        """``random.choice`` draws the member the listed group gave."""
+        for n in (2, 3, 4):
+            bases = tuple(range(1, n + 1))
+            listed = list(W.signed_permutations(bases))
+            one, two = random.Random(n), random.Random(n)
+            for _ in range(20):
+                assert (one.choice(W.SignedPermutation.all(bases))
+                        == two.choice(listed))
+
+    def test_length_without_members(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("the group enumerated its members")
+
+        monkeypatch.setattr(W, "signed_permutations", no_enumeration)
+        tracemalloc.start()
+        try:
+            group = W.SignedPermutation.all(range(1, 8))
+            assert len(group) == 645120
+            assert group[645119].one_line() == (-7, -6, -5, -4, -3, -2, -1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
 class TestActionOnArrangements:
     def test_group_action_law(self):
         from dpl import all_c64
@@ -226,4 +287,4 @@ class TestRollBijection:
 
 def test_doctests():
     result = doctest.testmod(W)
-    assert (result.failed, result.attempted) == (0, 7)
+    assert (result.failed, result.attempted) == (0, 9)
