@@ -16,8 +16,6 @@ two-curve arrangement and on the published pair of arrangements sharing
 their disk cycles (see README).
 """
 
-from itertools import combinations
-
 from . import words as W
 from .errors import (
     BadSignPattern,
@@ -120,9 +118,9 @@ def _decompose(S, T_given, max_block, carrier):
     ``u = 2c + k - 1 - shift`` all along, and the next one, of ``k'``
     letters, ``u`` larger by ``k + k'``.  With three or more factors
     ``0 < k + k' < L``, so the factors are the maximal runs of equal ``u``.
-    A constant ``u`` leaves one or two factors, read off every choice of
-    one or two cuts; :func:`validate` never gets there, as its cycles of
-    ``4 * max_block`` letters need more than two factors.
+    A constant ``u`` means one or two factors, which no cycle of
+    ``4 * max_block`` letters (all that :func:`validate` passes) has, so
+    it is rejected.
     """
     L = len(S)
     if sorted(S) != sorted(T_given):
@@ -132,24 +130,13 @@ def _decompose(S, T_given, max_block, carrier):
     walk_pos = {pair: p for p, pair in enumerate(S)}
     u = [(q + walk_pos[pair]) % L for q, pair in enumerate(T_given)]
     cuts = [q for q in range(L) if u[q] != u[q - 1]]
-    if cuts:
-        options = [cuts]
-    else:  # one factor or two
-        options = ([[c] for c in range(L)]
-                   + [list(cd) for cd in combinations(range(L), 2)])
-    solutions = [sol for sol in (_factors(S, u, cs, max_block, carrier)
-                                 for cs in options) if sol is not None]
-    if not solutions:
+    solution = _factors(S, u, cuts, max_block, carrier) if cuts else None
+    if solution is None:
         raise NoBlockDecomposition(
             "no blockwise-reversed factorization for cycle of %d" % carrier,
             carrier=carrier,
         )
-    if len(solutions) > 1:
-        raise NoBlockDecomposition(
-            "ambiguous factorization for cycle of %d" % carrier,
-            carrier=carrier, count=len(solutions),
-        )
-    return solutions[0]
+    return solution
 
 
 def _factors(S, u, cuts, max_block, carrier):
@@ -488,11 +475,9 @@ def from_disk_only(disk):
     return arr
 
 
-def cyclic_thin(n, bases=None):
+def cyclic_thin(n):
     """Thin double of the cyclic arrangement of ``n`` pseudolines."""
-    if bases is None:
-        bases = range(1, n + 1)
-    bases = tuple(bases)
+    bases = tuple(range(1, n + 1))
     if len(bases) < 2:
         raise SubsetTooSmall("cyclic_thin needs n >= 2")
     disk = {}
@@ -504,12 +489,10 @@ def cyclic_thin(n, bases=None):
     return from_disk_only(disk)
 
 
-def all_c64(n, bases=None):
+def all_c64(n):
     """The arrangement whose 3-subarrangements all have three crosscap
     tetragons (cyclic block pattern, one class per size)."""
-    if bases is None:
-        bases = range(1, n + 1)
-    bases = tuple(bases)
+    bases = tuple(range(1, n + 1))
     if len(bases) < 3:
         raise SubsetTooSmall("all_c64 needs n >= 3")
     disk = {}

@@ -20,7 +20,7 @@ from .chirotope import (
     parse_chirotope,
     reconstruct,
 )
-from .errors import DplError, FormatError, IllegalLocus
+from .errors import DplError, FormatError, IllegalLocus, UnknownFixture
 from .flags import automorphism_order, signed_group_order
 from .mutation import _moebius_classes, connectivity_check, projective_census
 from .words import signed_permutations
@@ -43,8 +43,8 @@ def _load_arrangement(path):
         return parse_text(text)
     try:
         return _catalog.arrangement(path)
-    except DplError:
-        raise DplError("no file or catalog fixture named %r" % path)
+    except UnknownFixture:
+        raise UnknownFixture("no file or catalog fixture named %r" % path)
 
 
 def cmd_validate(args):

@@ -21,10 +21,7 @@ class CocycleLabel:
 
     __slots__ = ("parts",)
 
-    def __init__(self, parts, _normalized=False):
-        if _normalized:
-            self.parts = parts
-            return
+    def __init__(self, parts):
         canon = []
         for kind, payload in parts:
             if kind == "lone":
@@ -56,15 +53,6 @@ class CocycleLabel:
                                           for x in payload)))
         return CocycleLabel(out)
 
-    def bases(self):
-        out = set()
-        for kind, payload in self.parts:
-            if kind == "lone":
-                out.add(abs(payload))
-            else:
-                out.update(abs(x) for x in payload if x != TOUCH)
-        return out
-
     def __eq__(self, other):
         return isinstance(other, CocycleLabel) and self.parts == other.parts
 
@@ -85,10 +73,6 @@ def _overline_reverse_parts(parts):
                         for x in reversed(payload))
             out.append(("word", min_rotation(rev)))
     return out
-
-
-def act(sigma, label):
-    return label.act(sigma)
 
 
 def orbit(labels, group):
@@ -114,6 +98,14 @@ def orbit(labels, group):
 
 
 def parse_label(line):
+    """The normalized label of one line of the text format.
+
+    >>> lab = parse_label("1 . -2 . -3 ., 2")
+    >>> format_label(lab)
+    '-2, -1 . 3 . 2 .'
+    >>> parse_label(format_label(lab)) == lab == lab.overline_reverse()
+    True
+    """
     parts = []
     for chunk in line.split(","):
         tokens = chunk.split()

@@ -421,12 +421,10 @@ class FlagComplex:
         """Canonical byte string; equal keys iff isomorphic in the mode."""
         if mode == "plain":
             return self._plain()
-        key = family_key(self.indices, self.disk, self.crosscap)
-        if mode == "indexed_oriented":
-            return repr(key).encode()
         if mode == "marked":
             if marked_face is None:
                 raise ValueError("marked mode needs a face index")
+            key = family_key(self.indices, self.disk, self.crosscap)
             tag = min(self.face_descriptors(marked_face))
             return repr((key, tag)).encode()
         raise ValueError("unknown mode %r" % mode)

@@ -69,38 +69,19 @@ def _pair_rows(indices, words):
             for k, i in enumerate(indices)}
 
 
-def _disk_pairs(indices, words):
-    """:func:`_pair_rows`, and the positions of each pair's vertex (see
-    :func:`flags.crossing_positions`)."""
-    pairs = _pair_rows(indices, words)
-    return pairs, crossing_positions(indices, pairs)
-
-
 class SimpleState:
     """Flag structures of a simple arrangement given by its disk cycles."""
 
-    __slots__ = ("indices", "words", "pairs", "pos", "start",
-                 "s0", "s1", "s2", "_faces", "_face_of")
+    __slots__ = ("indices", "pairs", "pos", "start",
+                 "s0", "s1", "s2", "faces", "face_of")
 
     def __init__(self, indices, words):
         self.indices = indices
-        self.words = words
-        self.pairs, self.pos = _disk_pairs(indices, words)
+        self.pairs = _pair_rows(indices, words)
+        self.pos = crossing_positions(indices, self.pairs)
         self.start, self.s0, self.s1, self.s2 = flag_sigmas(
             indices, self.pairs, self.pos)
-        self._faces = None
-        self._face_of = None
-
-    @property
-    def faces(self):
-        if self._faces is None:
-            self._faces, self._face_of = face_orbits(self.s0, self.s1)
-        return self._faces
-
-    @property
-    def face_of(self):
-        self.faces
-        return self._face_of
+        self.faces, self.face_of = face_orbits(self.s0, self.s1)
 
     def descriptor(self, f):
         """``(curve, (pair,), orientation, side)``: the descriptor of
@@ -786,13 +767,6 @@ def _odd_images(cycles, tags, odd_pure):
         if all(a == b for a, b in zip(tau.cycles(cycles), family)):
             return tags | set(map(tau.transport, tags))
     return tags
-
-
-def _class_key(cycles, tags, actions, odd_pure):
-    """Key of a marked state's class under the compiled group ``actions``
-    and the word-fixing members of the compiled ``odd_pure``."""
-    return _canonical_marked(cycles, _odd_images(cycles, tags, odd_pure),
-                             actions)
 
 
 # the group of each phase of the census quotient

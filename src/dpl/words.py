@@ -104,14 +104,14 @@ def otimes(x, y):
     return (u, v) if u < v else (v, u)
 
 
-def roll(block, position, carrier=None):
+def roll(block, position, carrier):
     """Transport a prime factor to the cycle of one of its co-curves.
 
-    ``block`` is a sequence of crossing pairs sharing carrier base ``i``
-    with pairwise distinct co-bases; ``position`` is 1-based.  Returns the
-    corresponding prime factor of the side cycle indexed by the signed
-    co-index at ``position`` (a negative target means the reversed cycle).
-    The carrier base is inferred when the block has length at least two.
+    ``block`` is a sequence of crossing pairs sharing the positive carrier
+    base ``carrier`` with pairwise distinct co-bases; ``position`` is
+    1-based.  Returns the corresponding prime factor of the side cycle
+    indexed by the signed co-index at ``position`` (a negative target
+    means the reversed cycle).
 
     >>> roll([(1, 2)], 1, carrier=1)
     ((1, 2),)
@@ -120,8 +120,7 @@ def roll(block, position, carrier=None):
     if not 1 <= position <= k:
         raise MalformedWord("roll position %d out of range 1..%d" % (position, k))
     p = position - 1
-    i = _block_carrier(block) if carrier is None else carrier
-    bases = {abs(co_index(b, i)) for b in block}
+    bases = {abs(co_index(b, carrier)) for b in block}
     if len(bases) != k:
         raise MalformedWord("block %r is not a prime factor" % (block,))
     bp = block[p]
@@ -133,18 +132,9 @@ def roll(block, position, carrier=None):
         alpha[q] = otimes(bp, block[q]) if q > p else otimes(block[q], bp)
     order = list(range(p + 1, k)) + [p] + list(range(p))
     seq = [alpha[q] for q in order]
-    if carrier_part(bp, i) > 0:
+    if carrier_part(bp, carrier) > 0:
         seq.reverse()
     return tuple(seq)
-
-
-def _block_carrier(block):
-    common = {abs(a) for a in block[0]}
-    for b in block[1:]:
-        common &= {abs(x) for x in b}
-    if len(common) != 1:
-        raise MalformedWord("block %r has no unique carrier" % (block,))
-    return common.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -515,16 +515,15 @@ class TestFactorization:
                 S = tuple(pr for pr in S if abs(W.co_index(pr, i)) != co)
         _assert_same_factorization(tuple(S), tuple(T), arr.n - 1, i)
 
-    def test_ambiguous_and_empty_cycles(self):
+    def test_constant_u_and_empty_cycles(self):
         a, b, c, d = (W.pair_of(1, 2, 1), W.pair_of(1, 3, 1),
                       W.pair_of(1, 2, 2), W.pair_of(1, 3, 2))
-        # (b a d c) reverses the blocks ab, cd and, shifted by two, bc, da
-        with pytest.raises(NoBlockDecomposition, match="ambiguous"):
+        # (b a d c) reverses the whole cycle (a b c d): u is constant, and
+        # one or two factors is a rejection
+        with pytest.raises(NoBlockDecomposition, match="no blockwise"):
             _decompose((a, b, c, d), (b, a, d, c), 2, 1)
-        _assert_same_factorization((a, b, c, d), (b, a, d, c), 2, 1)
         # bc is a reversed block of distinct co-indices, but too long
         _assert_same_factorization((a, b, c, d), (a, c, b, d), 1, 1)
-        _assert_same_factorization((a, b, c, d), (d, c, b, a), 2, 1)
         _assert_same_factorization((), (), 2, 1)
         with pytest.raises(NoBlockDecomposition, match="no blockwise"):
             _decompose((a, b, c, d), (a, c, b, d), 1, 1)
@@ -578,6 +577,34 @@ def _corrupted(family, i, kind):
 
 CORRUPTIONS = ("drop", "double", "swap", "swap-far", "negate", "reverse",
                "outside", "zero", "carrier", "-carrier")
+
+
+class TestDecomposeDomain:
+    def test_validate_passes_four_letters_per_co_index(self, monkeypatch):
+        """Every cycle that :func:`validate` factors has ``4 * max_block``
+        letters, so it never has one or two factors."""
+        calls = []
+        decompose = arrangement._decompose
+
+        def recorded(S, T_given, max_block, carrier):
+            calls.append((len(S), max_block))
+            return decompose(S, T_given, max_block, carrier)
+
+        monkeypatch.setattr(arrangement, "_decompose", recorded)
+        families = list(_oracle_families())
+        for fx in catalog.all():
+            arr = fx.arrangement
+            for i in arr.indices:
+                for side in ("disk", "crosscap"):
+                    for kind in CORRUPTIONS:
+                        family = {"disk": dict(arr.disk),
+                                  "crosscap": dict(arr.crosscap)}
+                        family[side] = _corrupted(family[side], i, kind)
+                        families.append((family["disk"], family["crosscap"]))
+        for disk, crosscap in families:
+            _outcome(validate, disk, crosscap)
+        assert len(calls) > 2000
+        assert all(length == 4 * max_block for length, max_block in calls)
 
 
 class TestValidateOracle:

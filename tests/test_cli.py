@@ -32,6 +32,17 @@ def test_validate_rejects_bad_file(tmp_path, capsys):
     assert json.loads(out)["code"] == "bad-sign-pattern"
 
 
+@pytest.mark.parametrize("verb", ["validate", "stats", "dot"])
+def test_unknown_name_is_an_unknown_fixture(verb, tmp_path, monkeypatch,
+                                            capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, verb, "NOPE")
+    assert code == 1
+    assert json.loads(out) == {
+        "code": "unknown-fixture",
+        "message": "no file or catalog fixture named 'NOPE'"}
+
+
 def test_stats(capsys):
     code, out = run(capsys, "stats", "C64")
     assert code == 0

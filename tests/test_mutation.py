@@ -14,7 +14,6 @@ from dpl.mutation import (
     SimpleState,
     _canonical_marked,
     _census_groups,
-    _class_key,
     _even_cosets,
     _group_actions,
     _heavy_marked,
@@ -22,6 +21,7 @@ from dpl.mutation import (
     _marked_face,
     _marked_flips,
     _marked_seeds,
+    _odd_images,
     _pair_rows,
     _phase_keys,
     _split_candidates,
@@ -351,6 +351,12 @@ def phase_counts(indices, states, marked):
     a, b, c = _phase_keys(indices, states, marked)
     return (len(set(a.values())), len(set(b.values())),
             len(set(c.values())), len({ck[0] for ck in c.values()}))
+
+
+def _class_key(cycles, tags, actions, odd_pure):
+    """Key of a marked state's class, as :func:`_phase_keys` composes it."""
+    return _canonical_marked(cycles, _odd_images(cycles, tags, odd_pure),
+                             actions)
 
 
 def reference_phase_keys(indices, states, marked):
