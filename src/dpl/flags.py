@@ -11,6 +11,7 @@ the dominance relation and the minimum is taken.
 
 import math
 from collections import Counter, deque
+from functools import cached_property
 
 from . import words as W
 from .arrangement import family_key
@@ -228,39 +229,37 @@ def disk_faces(face_sides):
 
 
 class FlagComplex:
-    """Cell-complex view of a validated arrangement."""
+    """Cell-complex view of a validated arrangement.
+
+    A build makes the pair rows, ``start`` and the three involutions on
+    the flag numbers of :func:`flag_id`; the flag tuples ``flags``, their
+    index ``fid`` and the sorted nodes ``node_list``/``node_id`` are made
+    on first read.
+    """
 
     def __init__(self, arr):
         # what the complex reads of ``arr`` later; holding ``arr`` itself
         # would make a reference cycle through ``arr.complex``
         self.indices = arr.indices
         self.node_cycles = arr.node_cycles
+        self.nodes = arr.nodes      # node -> {curve: position on it}
         self.disk, self.crosscap = arr.disk, arr.crosscap
-        self.node_list = sorted(arr.nodes, key=lambda nd: sorted(nd))
-        self.node_id = {nd: k for k, nd in enumerate(self.node_list)}
+        self.vertex_count = len(arr.nodes)
 
-        flags = []
-        pairs = {}
-        for i in arr.indices:
-            row = []
-            for node in arr.node_cycles[i]:
-                nd = self.node_id[node]
-                flags.extend((nd, eps, i, side) for eps, side in _EPS_SIDE)
-                row.append(next(iter(node)) if len(node) == 1 else None)
-            pairs[i] = row
-        self.pairs = pairs      # crossing pair per block, None if multiple
-        self.flags = flags
-        self.fid = {fl: f for f, fl in enumerate(flags)}
-
-        self.start, self.sigma0, self.sigma1, self.sigma2 = flag_sigmas(
+        # crossing pair per block, None if multiple
+        self.pairs = pairs = {
+            i: [next(iter(node)) if len(node) == 1 else None
+                for node in arr.node_cycles[i]]
+            for i in arr.indices}
+        self.start, s0, s1, s2 = flag_sigmas(
             arr.indices, pairs, crossing_positions(arr.indices, pairs))
-        for f, g in enumerate(self.sigma1):
+        self.sigma0, self.sigma1, self.sigma2 = s0, s1, s2
+        for f, g in enumerate(s1):
             if g is None:
-                self.sigma1[f] = self._dominance_min(f)
+                s1[f] = self._dominance_min(f)
 
-        for f in range(len(flags)):
-            assert self.sigma0[self.sigma2[f]] == self.sigma2[self.sigma0[f]]
-            assert self.sigma1[self.sigma1[f]] == f
+        assert list(map(s0.__getitem__, s2)) == list(map(s2.__getitem__, s0))
+        assert list(map(s1.__getitem__, s1)) == list(range(len(s1)))
 
         self._faces = None
         self._face_of = None
@@ -269,14 +268,36 @@ class FlagComplex:
         self._plain_key = None
         self._aut_starts = None
 
+    # -- flag table, made on first read -------------------------------
+
+    @cached_property
+    def node_list(self):
+        """The nodes, sorted by their sorted crossing pairs."""
+        return sorted(self.nodes, key=lambda nd: sorted(nd))
+
+    @cached_property
+    def node_id(self):
+        return {nd: k for k, nd in enumerate(self.node_list)}
+
+    @cached_property
+    def flags(self):
+        """``(node id, orientation, curve, side)`` of every flag."""
+        node_id = self.node_id
+        return [(node_id[node], eps, i, side) for i in self.indices
+                for node in self.node_cycles[i] for eps, side in _EPS_SIDE]
+
+    @cached_property
+    def fid(self):
+        return {fl: f for f, fl in enumerate(self.flags)}
+
     # -- involutions ----------------------------------------------------
 
     def _dominance_min(self, f):
         """sigma1 at a multiple vertex: the two-curve images of the flag,
         one per curve through the vertex, and the minimum of them under
         the dominance order."""
-        nd, eps, i, side = self.flags[f]
-        node = self.node_list[nd]
+        i, p, eps, side = flag_of(self.indices, self.start, f)
+        node = self.node_cycles[i][p]
         cands = [two_curve_step(pair, i, eps, side) for pair in node
                  if i in (abs(pair[0]), abs(pair[1]))]
         for j, eps_j, side_j in cands:
@@ -285,7 +306,8 @@ class FlagComplex:
                    or two_curve_step(self._pair(node, j, gk[0]), j, eps_j,
                                      -side_j) == gk
                    for gk in cands):
-                return self.fid[(nd, eps_j, j, side_j)]
+                return flag_id(self.start, j, self.nodes[node][j],
+                               eps_j, side_j)
         raise AssertionError("dominance relation is not total at node %r"
                              % (sorted(node),))
 
@@ -317,12 +339,8 @@ class FlagComplex:
         return dict(counts)
 
     @property
-    def vertex_count(self):
-        return len(self.node_list)
-
-    @property
     def edge_count(self):
-        return len(self.flags) // 4
+        return len(self.sigma0) // 4
 
     @property
     def euler_characteristic(self):
@@ -347,12 +365,12 @@ class FlagComplex:
         """node -> {curve not through the node: side sign}."""
         if self._vertex_sides is None:
             out = {}
-            for nd, node in enumerate(self.node_list):
-                bases = {abs(x) for pair in node for x in pair}
-                f = self.fid[(nd, 1, min(bases), 1)]
+            for node, at in self.nodes.items():
+                low = min(at)
+                f = flag_id(self.start, low, at[low], 1, 1)
                 sides = self.face_sides[self.face_of[f]]
                 out[node] = {i: sides[i] for i in self.indices
-                             if i not in bases}
+                             if i not in at}
             self._vertex_sides = out
         return self._vertex_sides
 
@@ -379,12 +397,13 @@ class FlagComplex:
     def descriptor(self, f):
         """``(curve, node, orientation, side)`` of flag ``f``; the node is
         the sorted tuple of the vertex's crossing pairs."""
-        nd, eps, i, side = self.flags[f]
-        return (i, tuple(sorted(self.node_list[nd])), eps, side)
+        i, p, eps, side = flag_of(self.indices, self.start, f)
+        return (i, tuple(sorted(self.node_cycles[i][p])), eps, side)
 
     def flag_from_descriptor(self, desc):
         i, node, eps, side = desc
-        return self.fid[(self.node_id[frozenset(node)], eps, i, side)]
+        return flag_id(self.start, i, self.nodes[frozenset(node)][i],
+                       eps, side)
 
     def face_descriptors(self, t):
         return frozenset(self.descriptor(f) for f in self.faces[t])
@@ -393,7 +412,7 @@ class FlagComplex:
 
     def _encode_from(self, start, best=None):
         """BFS encoding from a start flag; None if provably > best."""
-        n = len(self.flags)
+        n = len(self.sigma0)
         num = [-1] * n
         order = [start]
         num[start] = 0
@@ -441,8 +460,8 @@ class FlagComplex:
         starts of the least encoding are then the class of the first.
         """
         if self._plain_key is None:
-            parent = list(range(len(self.flags)))
-            done = [False] * len(self.flags)
+            parent = list(range(len(self.sigma0)))
+            done = [False] * len(self.sigma0)
 
             def find(f):
                 while parent[f] != f:
@@ -450,7 +469,7 @@ class FlagComplex:
                 return f
 
             best = first = None
-            for start in range(len(self.flags)):
+            for start in range(len(self.sigma0)):
                 r = find(start)
                 if done[r]:
                     continue
@@ -467,7 +486,7 @@ class FlagComplex:
                             parent[b] = a
                             done[a] = done[a] or done[b]
             root = find(first)
-            self._aut_starts = [f for f in range(len(self.flags))
+            self._aut_starts = [f for f in range(len(self.sigma0))
                                 if find(f) == root]
             self._plain_key = repr(best).encode()
         return self._plain_key
@@ -481,7 +500,7 @@ class FlagComplex:
         BFS encodings from ``first`` and ``start`` are equal.
         """
         sigmas = (self.sigma0, self.sigma1, self.sigma2)
-        phi = [-1] * len(self.flags)
+        phi = [-1] * len(self.sigma0)
         phi[first] = start
         todo = [first]
         while todo:
@@ -518,7 +537,8 @@ class FlagComplex:
         the crosscap side."""
         images = {}
         for i in self.indices:
-            _, eps, j, side = self.flags[phi[flag_id(self.start, i, 0, 1, -1)]]
+            j, _, eps, side = flag_of(
+                self.indices, self.start, phi[flag_id(self.start, i, 0, 1, -1)])
             if side != -1:
                 return None
             images[i] = eps * j
@@ -529,9 +549,9 @@ class FlagComplex:
     def to_dot(self, graph="flag"):
         if graph == "flag":
             lines = ["graph flags {"]
-            for f in range(len(self.flags)):
+            for f in range(len(self.sigma0)):
                 lines.append('  f%d [label="%d"];' % (f, f))
-            for f in range(len(self.flags)):
+            for f in range(len(self.sigma0)):
                 for c, sig in enumerate((self.sigma0, self.sigma1, self.sigma2)):
                     g = sig[f]
                     if f < g:
@@ -543,7 +563,7 @@ class FlagComplex:
         if graph == "dual":
             face_of = self.face_of
             edges = set()
-            for f in range(len(self.flags)):
+            for f in range(len(self.sigma0)):
                 t = face_of[f]
                 u = face_of[self.sigma2[f]]
                 edges.add((min(t, u), max(t, u)))

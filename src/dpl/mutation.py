@@ -407,6 +407,13 @@ def triangles(arr):
             for i, _ in positions]
 
 
+def _own_sides(cx, t):
+    """The side of face ``t`` of each curve it has an edge on, read off
+    the face's own flags: a flag names its face's side of its own curve."""
+    return {i: side for i, _, _, side
+            in (flag_of(cx.indices, cx.start, f) for f in cx.faces[t])}
+
+
 def _triangle_move(arr, t, positions, flip=False):
     """The validated result of collapsing the triangle ``t`` with support
     ``positions`` onto its opposite vertex, or with ``flip`` of inverting
@@ -418,7 +425,7 @@ def _triangle_move(arr, t, positions, flip=False):
     # every corner is simple, so a block is one word position
     swaps = [(i, arr.spans[i][a][0]) for i, a in positions]
     new = _swapped(idx, family, swaps,
-                   None if flip else arr.complex.face_sides[t])
+                   None if flip else _own_sides(arr.complex, t))
     return _validated(dict(zip(idx, new)), dict(zip(idx, new[len(idx):])))
 
 

@@ -6,8 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from dpl import all_c64, catalog, cyclic_thin
-from dpl import flags
+from dpl import all_c64, catalog, cyclic_thin, validate
+from dpl import flags, mutation
 from dpl.errors import DplError, GenusNotOne
 from dpl.flags import (
     automorphism_order,
@@ -109,17 +109,22 @@ def relabeled_flip_walk_states():
     return out
 
 
-def relabeled_merged_arrangements():
-    """Every merge of a catalog fixture, one per indexed-oriented class,
-    under a seeded signed relabeling."""
-    rng = random.Random(11)
+def merged_fixtures():
+    """Every merge of a catalog fixture, one per indexed-oriented class."""
     merged = {}
     for fx in catalog.all():
         for t, m in triangles(fx.arrangement):
             arr = apply_move(fx.arrangement, MutationMove("merge", t, m))
             merged.setdefault(arr.key(), arr)
+    return list(merged.values())
+
+
+def relabeled_merged_arrangements():
+    """Every merge of a catalog fixture, one per indexed-oriented class,
+    under a seeded signed relabeling."""
+    rng = random.Random(11)
     return [arr.act(rng.choice(SignedPermutation.all(arr.indices)))
-            for arr in merged.values()]
+            for arr in merged_fixtures()]
 
 
 class TestSigmaOneBaseCase:
@@ -133,6 +138,72 @@ class TestSigmaOneBaseCase:
             g = cx.sigma1[f]
             node2 = frozenset({pair_of(j, i, k2)})
             assert cx.flags[g] == (cx.node_id[node2], eps2, j, side2), (k, eps, side)
+
+
+class TestFlagTable:
+    """The flag tuples, their index and the sorted nodes, made on first
+    read, against the flag numbering of the involutions."""
+
+    def test_table_matches_the_numbering(self):
+        arrs = [fx.arrangement for fx in catalog.all()] + merged_fixtures()
+        arrs += [cyclic_thin(n) for n in range(2, 7)]
+        arrs += [all_c64(n) for n in range(3, 8)]
+        assert any(not arr.is_simple() for arr in arrs)
+        for arr in arrs:
+            cx = arr.complex
+            assert len(cx.flags) == len(cx.sigma0) == 4 * cx.edge_count
+            assert cx.vertex_count == len(cx.node_list) == arr.vertex_count
+            assert cx.node_list == sorted(arr.nodes, key=sorted)
+            for f in range(len(cx.sigma0)):
+                i, p, eps, side = flags.flag_of(cx.indices, cx.start, f)
+                node = cx.node_cycles[i][p]
+                assert cx.flags[f] == (cx.node_id[node], eps, i, side)
+                assert cx.fid[cx.flags[f]] == f
+
+
+class TestBuildChecks:
+    """The two checks of a build still fire."""
+
+    def test_sigma1_not_an_involution(self, monkeypatch):
+        arr = catalog.arrangement("Upsilon")
+        assert not arr.is_simple()
+        flags.FlagComplex(arr)
+        monkeypatch.setattr(flags.FlagComplex, "_dominance_min",
+                            lambda self, f: 0)
+        with pytest.raises(AssertionError):
+            flags.FlagComplex(arr)
+
+    def test_sigma0_not_commuting_with_sigma2(self, monkeypatch):
+        arr = catalog.arrangement("C04")
+        real = flags.flag_sigmas
+
+        def broken(*args):
+            start, s0, s1, s2 = real(*args)
+            s0[0] ^= 2
+            return start, s0, s1, s2
+
+        flags.FlagComplex(arr)
+        monkeypatch.setattr(flags, "flag_sigmas", broken)
+        with pytest.raises(AssertionError):
+            flags.FlagComplex(arr)
+
+
+class TestBuildCost:
+    def test_moves_leave_the_flag_table_unmade(self):
+        """triangles, a merge, the split back and a flip make no flag
+        tuples and no sorted nodes, and a merge labels no face sides."""
+        arr = cyclic_thin(4)
+        t, m = triangles(arr)[0]
+        merged = apply_move(arr, MutationMove("merge", t, m))
+        node = next(nd for nd in merged.nodes if len(nd) > 1)
+        released = [apply_move(merged, MutationMove("split", node, m, side))
+                    for side in "ab"]
+        assert arr.key() in {out.key() for out in released}
+        flipped = apply_move(arr, MutationMove("flip", t, m))
+        for out in [arr, merged, flipped] + released:
+            assert not {"flags", "fid", "node_list", "node_id"} \
+                & vars(out.complex).keys()
+        assert arr.complex._face_sides is None
 
 
 class TestSigmaOneRule:
@@ -419,6 +490,43 @@ class TestSidesAndAdmissibleCells:
         arr = cyclic_thin(4)
         for node, sides in arr.complex.vertex_sides.items():
             assert all(v < 0 for v in sides.values())
+
+
+class TestMergeSides:
+    """A merge reads its face's side of each support curve off the face's
+    own flags; the labels of the whole complex are the reference."""
+
+    def test_own_sides_match_face_sides(self):
+        crosscap_side = 0
+        for arr in [fx.arrangement for fx in catalog.all()] + merged_fixtures():
+            cx = arr.complex
+            for t, face in enumerate(cx.faces):
+                sides = mutation._own_sides(cx, t)
+                assert sides == {i: cx.face_sides[t][i] for i in sides}
+                tri = flags.triangle(face, cx.indices, cx.start, cx.pairs)
+                if tri is not None:
+                    assert sides.keys() == {i for i, _ in tri[0]}
+                    crosscap_side += any(v > 0 for v in sides.values())
+        assert crosscap_side > 0
+
+    def test_merge_matches_face_sides_swap(self):
+        merges = crosscap_side = 0
+        for arr in [fx.arrangement for fx in catalog.all()] + merged_fixtures():
+            cx = arr.complex
+            idx = arr.indices
+            family = (tuple(arr.disk[i] for i in idx)
+                      + tuple(arr.crosscap[i] for i in idx))
+            for t, positions, _ in mutation._triangles(arr):
+                swaps = [(i, arr.spans[i][a][0]) for i, a in positions]
+                new = mutation._swapped(idx, family, swaps, cx.face_sides[t])
+                want = validate(dict(zip(idx, new)),
+                                dict(zip(idx, new[len(idx):])))
+                got = apply_move(arr, MutationMove("merge", t, positions[0][0]))
+                assert got.key() == want.key()
+                merges += 1
+                crosscap_side += any(cx.face_sides[t][i] > 0
+                                     for i, _ in positions)
+        assert merges > crosscap_side > 0
 
 
 class TestDotExports:
