@@ -254,9 +254,11 @@ class FlagComplex:
         self.start, s0, s1, s2 = flag_sigmas(
             arr.indices, pairs, crossing_positions(arr.indices, pairs))
         self.sigma0, self.sigma1, self.sigma2 = s0, s1, s2
+        self._node_pairs = {}       # _dominance_min's tables, this build only
         for f, g in enumerate(s1):
             if g is None:
                 s1[f] = self._dominance_min(f)
+        del self._node_pairs
 
         assert list(map(s0.__getitem__, s2)) == list(map(s2.__getitem__, s0))
         assert list(map(s1.__getitem__, s1)) == list(range(len(s1)))
@@ -298,22 +300,26 @@ class FlagComplex:
         the dominance order."""
         i, p, eps, side = flag_of(self.indices, self.start, f)
         node = self.node_cycles[i][p]
-        cands = [two_curve_step(pair, i, eps, side) for pair in node
-                 if i in (abs(pair[0]), abs(pair[1]))]
+        pair_of = self._node_pairs.get(node)
+        if pair_of is None:
+            # (j, k) -> the crossing pair of curves j and k, made once per
+            # node and build
+            pair_of = self._node_pairs[node] = {}
+            for pair in node:
+                a, b = abs(pair[0]), abs(pair[1])
+                pair_of[a, b] = pair_of[b, a] = pair
+        cands = [two_curve_step(pair, i, eps, side)
+                 for (a, _), pair in pair_of.items() if a == i]
         for j, eps_j, side_j in cands:
             # gj < gk iff the side flip then the {j,k} step takes gj to gk
             if all(gk[0] == j
-                   or two_curve_step(self._pair(node, j, gk[0]), j, eps_j,
+                   or two_curve_step(pair_of[j, gk[0]], j, eps_j,
                                      -side_j) == gk
                    for gk in cands):
                 return flag_id(self.start, j, self.nodes[node][j],
                                eps_j, side_j)
         raise AssertionError("dominance relation is not total at node %r"
                              % (sorted(node),))
-
-    @staticmethod
-    def _pair(node, j, k):
-        return next(p for p in node if {abs(x) for x in p} == {j, k})
 
     # -- faces ------------------------------------------------------------
 
@@ -458,6 +464,11 @@ class FlagComplex:
         union-find over the flags is done; a start that ties the least
         encoding unites every flag with its image under that map.  The
         starts of the least encoding are then the class of the first.
+
+        The starts are visited by the size of their face, smallest first
+        (flag order within a size): the encoding closes a small face early,
+        so a start on one tends to set a low bound at once.  The key and
+        the starts of the least encoding do not depend on the order.
         """
         if self._plain_key is None:
             parent = list(range(len(self.sigma0)))
@@ -468,8 +479,11 @@ class FlagComplex:
                     parent[f] = f = parent[parent[f]]
                 return f
 
+            size = list(map(len, self.faces))
+            face_of = self.face_of
             best = first = None
-            for start in range(len(self.sigma0)):
+            for start in sorted(range(len(self.sigma0)),
+                                key=lambda f: size[face_of[f]]):
                 r = find(start)
                 if done[r]:
                     continue

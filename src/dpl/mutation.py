@@ -233,17 +233,20 @@ def projective_census(n, limit=None, seed_all_versions=False):
     visited = _walk(((_words_key(w), w) for w in seeds), neighbours,
                     limit, None)
     # A signed relabeling is an isomorphism of the flag graph, so the plain
-    # key is computed once per orbit and given to all its states.
+    # key is computed once per orbit and given to all its states, by their
+    # packed keys.
+    group = _group_actions(indices, W.signed_permutations(indices))
     label = {}
+    plain = {}
     for key, w in visited.items():
-        if key not in label:
+        packed = tuple(map(W.pack, key))
+        if packed not in label:
             arr = from_disk_only(dict(zip(indices, w)))
             pk = arr.complex.canonical_key("plain")
-            for s in W.signed_permutations(indices):
-                label[_words_key(act_words(s, indices, w))] = pk
-    plain = {}
-    for key in visited:
-        plain.setdefault(label[key], []).append(key)
+            cycles = _packed(w)
+            for act in group:
+                label[tuple(act.cycles(cycles))] = pk
+        plain.setdefault(label[packed], []).append(key)
     return {
         "indices": indices,
         "indexed_classes": visited,
@@ -702,35 +705,53 @@ def _census_groups(indices):
     }
 
 
+def _packed(cycles):
+    """``(length, doubled packed word, its reverse)`` of each cycle: the
+    form in which :class:`_Action` reads a family (:func:`words.pack`)."""
+    out = []
+    for w in cycles:
+        doubled = W.pack(w) * 2
+        out.append((len(w), doubled, doubled[::-1]))
+    return tuple(out)
+
+
 class _Action:
     """A signed permutation ``sigma`` compiled for acting on word families
     and flag descriptors, built once per walk or quotient.
 
-    ``get`` reads the image of a signed letter under ``sigma``'s inverse;
-    ``order`` gives, for each output cycle of a block, the position of its
-    source cycle and whether that cycle is read backwards
-    (``sigma(k) < 0``); ``transports`` stores the descriptors already
-    transported.
+    ``get`` reads the image of a signed letter under ``sigma``'s inverse,
+    and ``table`` is the same map on packed letters, for
+    :meth:`bytes.translate`; ``order`` gives, for each output cycle of a
+    block, the position of its source cycle and whether that cycle is read
+    backwards (``sigma(k) < 0``); ``transports`` stores the descriptors
+    already transported.
     """
 
-    __slots__ = ("get", "order", "transports")
+    __slots__ = ("get", "table", "order", "transports")
 
     def __init__(self, indices, sigma):
         inv = sigma.inverse()
-        self.get = {x: inv(x) for i in indices for x in (i, -i)}.__getitem__
+        images = {x: inv(x) for i in indices for x in (i, -i)}
+        self.get = images.__getitem__
+        table = bytearray(range(256))
+        for x, y in images.items():
+            table[x + 128] = y + 128
+        self.table = bytes(table)
         self.order = tuple((indices.index(abs(sigma(k))), sigma(k) < 0)
                            for k in indices)
         self.transports = {}
 
-    def cycles(self, cycles):
-        """Min-rotated cycles of the acted family, one at a time; each
-        block of ``len(indices)`` cycles is acted on alike."""
-        get = self.get
-        for b in range(0, len(cycles), len(self.order)):
+    def cycles(self, packed):
+        """Least rotations of the packed cycles of the acted family, one
+        at a time, from the :func:`_packed` form of a family; each block
+        of ``len(indices)`` cycles is acted on alike."""
+        table = self.table
+        least = W.least_rotation
+        for b in range(0, len(packed), len(self.order)):
             for src, backwards in self.order:
-                w = cycles[b + src]
-                yield W.min_rotation(tuple(map(get, w[::-1] if backwards
-                                               else w)))
+                n, forward, reverse = packed[b + src]
+                word = reverse if backwards else forward
+                yield least(word.translate(table), n)
 
     def transport(self, desc):
         """:func:`transport_descriptor` of ``desc``, computed once."""
@@ -745,15 +766,21 @@ def _group_actions(indices, group):
     return [_Action(indices, sigma) for sigma in group]
 
 
-def _canonical_marked(cycles, tags, actions):
+def _canonical_marked(cycles, tags, actions, best=None):
     """Minimum of (acted cycles, least transported tag) over the compiled
-    group ``actions``; a member is dropped at the first cycle that
-    exceeds the best."""
-    best = None
+    group ``actions`` and the key ``best``, if given; a member is dropped
+    at the first cycle that exceeds the best.
+
+    The cycles are packed once (:func:`_packed`) and compared packed,
+    which orders them as the tuples do; only the winning key is unpacked.
+    """
+    packed = _packed(cycles)
+    if best is not None:
+        best = (tuple(map(W.pack, best[0])), best[1])
     for act in actions:
         tied = best is not None
         cand = []
-        for k, w in enumerate(act.cycles(cycles)):
+        for k, w in enumerate(act.cycles(packed)):
             if tied:
                 if w > best[0][k]:
                     break
@@ -763,15 +790,16 @@ def _canonical_marked(cycles, tags, actions):
             key = (tuple(cand), min(map(act.transport, tags)))
             if best is None or key < best:
                 best = key
-    return best
+    return tuple(map(W.unpack, best[0])), best[1]
 
 
 def _odd_images(cycles, tags, odd_pure):
     """``tags`` and their images under the first member of the compiled
     ``odd_pure`` that fixes the family of ``cycles``, if one does."""
-    family = [W.min_rotation(w) for w in cycles]
+    packed = _packed(cycles)
+    family = [W.least_rotation(doubled, n) for n, doubled, _ in packed]
     for tau in odd_pure:
-        if all(a == b for a, b in zip(tau.cycles(cycles), family)):
+        if all(a == b for a, b in zip(tau.cycles(packed), family)):
             return tags | set(map(tau.transport, tags))
     return tags
 
@@ -793,10 +821,16 @@ def _phase_keys(indices, states, marked, phases="abc", progress=None):
     every ``progress`` states, and each phase line once the phase's
     number of states is known.
     """
-    g = {name: _group_actions(indices, group)
-         for name, group in _census_groups(indices).items()}
-    odd_pure = g["odd_pure"]
-    actions = [g[_PHASE_GROUPS[phase]] for phase in phases]
+    groups = _census_groups(indices)
+    odd_pure = _group_actions(indices, groups["odd_pure"])
+    # each group holds the one before, so a phase starts from the key of
+    # the phase before and tries only the members its group adds
+    actions, tried = [], set()
+    for phase in phases:
+        group = groups[_PHASE_GROUPS[phase]]
+        actions.append(_group_actions(
+            indices, [s for s in group if s not in tried]))
+        tried = set(group)
     outs = [{} for _ in phases]
     classes = [set() for _ in phases]
     if progress:
@@ -805,8 +839,9 @@ def _phase_keys(indices, states, marked, phases="abc", progress=None):
     for t, key in enumerate(states):
         cycles, tags = marked(states[key])
         tags = _odd_images(cycles, tags, odd_pure)
+        ck = None
         for out, seen, group in zip(outs, classes, actions):
-            ck = out[key] = _canonical_marked(cycles, tags, group)
+            ck = out[key] = _canonical_marked(cycles, tags, group, ck)
             if ck in seen:
                 break
             seen.add(ck)

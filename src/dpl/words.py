@@ -19,7 +19,9 @@ Conventions used throughout the package:
   standard non-simple three-curve example and frozen here; see
   ``docs`` in the README for the calibration trace.
 * A *circular word* is a tuple compared up to rotation;
-  :func:`min_rotation` gives the canonical representative.
+  :func:`min_rotation` gives the canonical representative.  The census
+  quotient acts on words packed into bytes (:func:`pack`), where
+  :func:`least_rotation` plays its part.
 """
 
 from collections.abc import Sequence
@@ -152,7 +154,62 @@ def min_rotation(word):
     if not w:
         return w
     m = min(w)
-    return min(w[i:] + w[:i] for i, x in enumerate(w) if x == m)
+    i = w.index(m)
+    best = w[i:] + w[:i]
+    for _ in range(w.count(m) - 1):
+        i = w.index(m, i + 1)
+        rot = w[i:] + w[:i]
+        if rot < best:
+            best = rot
+    return best
+
+
+_SHIFT, _UNSHIFT = (128).__add__, (-128).__add__
+
+
+def pack(word):
+    """The word as bytes, letter ``x`` as byte ``x + 128``, for letters
+    with ``|x| <= 127``; the census groups are out of reach long before
+    n = 128.  The shift keeps order: packed words, and tuples of them,
+    compare as the words and tuples of words do.
+
+    >>> pack((-1, 2))
+    b'\\x7f\\x82'
+    >>> pack((1, 2)) < pack((1, 2, -3)) < pack((1, 3))
+    True
+    """
+    return bytes(map(_SHIFT, word))
+
+
+def unpack(packed):
+    """The word of a packed word: the inverse of :func:`pack`.
+
+    >>> unpack(pack((2, -1, 3)))
+    (2, -1, 3)
+    """
+    return tuple(map(_UNSHIFT, packed))
+
+
+def least_rotation(doubled, n):
+    """Least rotation of the packed word of length ``n`` whose doubling
+    (the word written twice) is ``doubled``; only the starts at the least
+    byte are tried.
+
+    >>> unpack(least_rotation(pack((2, -1, 3, -1, 4)) * 2, 5))
+    (-1, 3, -1, 4, 2)
+    """
+    if not n:
+        return b""
+    m = min(doubled)
+    i = doubled.find(m)
+    best = doubled[i:i + n]
+    i = doubled.find(m, i + 1, n)
+    while i >= 0:
+        rot = doubled[i:i + n]
+        if rot < best:
+            best = rot
+        i = doubled.find(m, i + 1, n)
+    return best
 
 
 def rotations(word):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import permutations, product
@@ -14,6 +15,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def files_digest(files):
+    """SHA-256 of the files' bytes, concatenated in file-name order."""
+    h = hashlib.sha256()
+    for f in sorted(files, key=lambda f: f.name):
+        h.update(f.read_bytes())
+    return h.hexdigest()
 
 
 def test_validate_catalog_fixture(capsys):
@@ -187,6 +196,18 @@ def test_enumerate_emit_classes(tmp_path, capsys):
     assert len(list(out_dir.glob("*.dpl"))) == 1
 
 
+def test_enumerate_emit_classes_three(tmp_path, capsys):
+    """The thirteen projective classes, byte for byte as first written."""
+    out_dir = tmp_path / "classes"
+    code, out = run(capsys, "enumerate", "--n", "3", "--setting",
+                    "projective", "--emit-classes", str(out_dir))
+    assert code == 0 and json.loads(out)["plain_classes"] == 13
+    files = list(out_dir.iterdir())
+    assert len(files) == 13
+    assert files_digest(files) == (
+        "dcdfb5fd043424fbe0d09ac1e30c6ce9b9d73a9a8df13f2fc5e913a012a2463b")
+
+
 def test_enumerate_state_limit(capsys, monkeypatch):
     monkeypatch.setenv("DPL_STATE_LIMIT", "5")
     code, out = run(capsys, "enumerate", "--n", "3", "--setting", "projective")
@@ -315,6 +336,8 @@ def test_enumerate_moebius_emit_classes_three(tmp_path, capsys):
     assert len(files) == 12
     keys = {load(str(f)).complex.canonical_key("plain") for f in files}
     assert len(keys) == 12
+    assert files_digest(out_dir.iterdir()) == (
+        "8fd0354563f8fa9be61d55c4e195ab0bb8915361e46468482d14bcaff7e09084")
 
 
 def test_enumerate_moebius_all_three(tmp_path, capsys):
@@ -329,6 +352,8 @@ def test_enumerate_moebius_all_three(tmp_path, capsys):
     assert len(files) == 41
     keys = {load(str(f)).complex.canonical_key("plain") for f in files}
     assert len(keys) == 41
+    assert files_digest(out_dir.iterdir()) == (
+        "d4612308ddf9cc31f25ada76ac2a91117483a449581b52e01630b2d412b9634d")
 
 
 def test_enumerate_projective_all_is_illegal(capsys):

@@ -22,6 +22,7 @@ from dpl.mutation import (
     _marked_flips,
     _marked_seeds,
     _odd_images,
+    _packed,
     _pair_rows,
     _phase_keys,
     _split_candidates,
@@ -44,7 +45,7 @@ from dpl.mutation import (
     transport_descriptor,
     triangles,
 )
-from dpl.words import SignedPermutation
+from dpl.words import SignedPermutation, unpack
 
 LEFT = dict(
     disk={1: (3, 2, -2, 3, -3, -2, 2, -3),
@@ -457,6 +458,25 @@ class TestSinglePassQuotient:
             == {"n": 2, "total": 1, "simple": 1}
         assert phases == [1]
 
+    def test_phases_key_only_the_members_their_group_adds(
+            self, lifted, monkeypatch):
+        """Phase a keys over the 4 even reorientations, b over the 20
+        reindexings x evens that are not evens, c over the 24 members of
+        the full group that are not reindexings x evens; b and c start
+        from the key of the phase before."""
+        indices, _, heavy = lifted
+        keyed = []
+        canonical = mutation._canonical_marked
+
+        def spy(cycles, tags, actions, best=None):
+            keyed.append((len(actions), best is None))
+            return canonical(cycles, tags, actions, best)
+
+        monkeypatch.setattr(mutation, "_canonical_marked", spy)
+        _phase_keys(indices, heavy, _heavy_marked)
+        assert sorted(set(keyed)) == [(4, True), (20, False), (24, False)]
+        assert [keyed.count(k) for k in sorted(set(keyed))] == [472, 118, 22]
+
 
 class TestMoebiusCensus:
     def test_row_two(self):
@@ -748,7 +768,7 @@ class TestGroupActions:
         assert len(actions) == len(group)
         for cycles, tags in states:
             for sigma, act in zip(group, actions):
-                assert tuple(act.cycles(cycles)) \
+                assert tuple(map(unpack, act.cycles(_packed(cycles)))) \
                     == acted_family(indices, sigma, cycles)
                 inv = sigma.inverse()
                 for d in tags:

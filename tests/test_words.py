@@ -101,6 +101,51 @@ class TestCircularWords:
         assert W.cyclic_eq(w, w[r % len(w):] + w[:r % len(w)])
 
 
+def random_words(seed):
+    """400 seeded words of 0 to 16 letters from a small signed alphabet,
+    so that the least letter often repeats."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(400):
+        letters = rng.sample((-3, -2, -1, 1, 2, 3), rng.randint(1, 6))
+        out.append(tuple(rng.choice(letters)
+                         for _ in range(rng.randint(0, 16))))
+    return out
+
+
+class TestPackedWords:
+    def test_min_rotation_is_least_of_all_rotations(self):
+        words = random_words(1)
+        assert any(w.count(min(w)) > 2 for w in words if w)
+        assert {len(w) for w in words} == set(range(17))
+        for w in words:
+            assert W.min_rotation(w) == min(W.rotations(w), default=())
+
+    def test_pack_round_trip_and_order(self):
+        words = random_words(2) + [(127, -127, 5), (-127,), (127,)]
+        for w in words:
+            assert W.unpack(W.pack(w)) == w
+        rng = random.Random(3)
+        for _ in range(2000):
+            a, b = rng.choice(words), rng.choice(words)
+            assert (a < b) == (W.pack(a) < W.pack(b)), (a, b)
+            # tuples of words of unequal lengths
+            ta = tuple(rng.sample(words, rng.randint(0, 4)))
+            tb = ta[:rng.randint(0, len(ta))] + tuple(
+                rng.sample(words, rng.randint(0, 3)))
+            assert (ta < tb) == (tuple(map(W.pack, ta))
+                                 < tuple(map(W.pack, tb))), (ta, tb)
+
+    def test_pack_range(self):
+        with pytest.raises(ValueError):
+            W.pack((128,))
+
+    def test_least_rotation_matches_min_rotation(self):
+        for w in random_words(4):
+            assert W.least_rotation(W.pack(w) * 2, len(w)) \
+                == W.pack(W.min_rotation(w))
+
+
 class TestSignedPermutation:
     def test_group_laws(self):
         random.seed(0)
@@ -287,4 +332,4 @@ class TestRollBijection:
 
 def test_doctests():
     result = doctest.testmod(W)
-    assert (result.failed, result.attempted) == (0, 9)
+    assert (result.failed, result.attempted) == (0, 13)
