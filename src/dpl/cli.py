@@ -74,24 +74,29 @@ def cmd_stats(args):
 
 
 def _read_mark(path):
-    """Optional 'mark: CURVE ARC SIDE' line of an arrangement file; the
-    arc index counts vertices along the disk cycle as written, the side
-    is 'disk' or 'crosscap'."""
+    """Optional 'mark: CURVE ARC SIDE' line of an arrangement file, at
+    most one per file and with an optional '#' comment; the arc index
+    counts vertices along the disk cycle as written, the side is 'disk'
+    or 'crosscap'."""
     if not os.path.exists(path):
         return None
+    mark = None
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("mark:"):
-                fields = line[len("mark:"):].split()
-                if len(fields) != 3 or fields[2] not in ("disk", "crosscap"):
-                    raise FormatError("unparseable line: %r" % line)
-                try:
-                    curve, arc = int(fields[0]), int(fields[1])
-                except ValueError as exc:
-                    raise FormatError("unparseable line: %r" % line) from exc
-                return (curve, arc, 1 if fields[2] == "crosscap" else -1)
-    return None
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line.startswith("mark:"):
+                continue
+            if mark is not None:
+                raise FormatError("repeated 'mark:' line: %r" % raw)
+            fields = line[len("mark:"):].split()
+            if len(fields) != 3 or fields[2] not in ("disk", "crosscap"):
+                raise FormatError("unparseable line: %r" % line)
+            try:
+                curve, arc = int(fields[0]), int(fields[1])
+            except ValueError as exc:
+                raise FormatError("unparseable line: %r" % line) from exc
+            mark = (curve, arc, 1 if fields[2] == "crosscap" else -1)
+    return mark
 
 
 def cmd_iso(args):

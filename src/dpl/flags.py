@@ -3,10 +3,9 @@
 A flag is a quadruple ``(node, orientation, support, side)``; there are
 four flags per incidence of a vertex with a curve.  ``sigma2`` flips the
 side, ``sigma0`` walks to the neighbouring vertex along the support, and
-``sigma1`` switches the support inside the node.  On a simple vertex
-``sigma1`` is the bit rule of :func:`_crossing_bits` below; on a
-multiple vertex the candidates from every 2-subarrangement are ordered by
-the dominance relation and the minimum is taken.
+``sigma1`` switches the support inside the node by the bit rule of
+:func:`_crossing_bits` below; at a multiple vertex the rule gives one
+candidate per other curve, and the least under dominance is the image.
 """
 
 import math
@@ -96,7 +95,7 @@ def flag_sigmas(indices, pairs, pos):
     moves to the neighbouring position and reverses the orientation,
     sigma2 flips the side, and sigma1 is the bit rule of
     :data:`_SIG1_XOR` at a simple vertex; at a multiple vertex sigma1 is
-    left None for the caller.
+    left None for :func:`multiple_sigma1`.
     """
     start = {}
     total = 0
@@ -123,6 +122,38 @@ def flag_sigmas(indices, pairs, pos):
         s1[fb], s1[fb + 1], s1[fb + 2], s1[fb + 3] = gb ^ 3, gb ^ 1, gb ^ 2, gb
     s2 = [f ^ 1 for f in range(4 * total)]
     return start, s0, s1, s2
+
+
+def multiple_sigma1(nodes, start, s1):
+    """Write sigma1 at the multiple vertices of ``nodes`` (node ->
+    {curve: position}) into ``s1``.  At a node, flag ``low`` of curve
+    ``i`` has a candidate on each other curve ``j``: flag ``c_j = bits[i][j]
+    ^ _SIG1_XOR[low]``, ``bits[i][j]`` the ``x`` of :func:`_crossing_bits`.
+    The image is the least under dominance, the ``j`` whose flipped side
+    steps to every other candidate: ``bits[j][k] ^ _SIG1_XOR[c_j ^ 1] ==
+    c_k``."""
+    for node, at in nodes.items():
+        if len(node) == 1:
+            continue
+        bits = {i: {} for i in at}
+        for pair in node:
+            for i in map(abs, pair):
+                j, x = _crossing_bits(pair, i)
+                bits[i][j] = x
+        for i, row in bits.items():
+            f = 4 * (start[i] + at[i])
+            for low, sig in enumerate(_SIG1_XOR):
+                cands = {j: x ^ sig for j, x in row.items()}
+                for j, c in cands.items():
+                    step, flip = bits[j], _SIG1_XOR[c ^ 1]
+                    if all(k == j or step[k] ^ flip == ck
+                           for k, ck in cands.items()):
+                        s1[f + low] = 4 * (start[j] + at[j]) + c
+                        break
+                else:
+                    raise AssertionError(
+                        "dominance relation is not total at node %r"
+                        % (sorted(node),))
 
 
 def triangle(face, indices, start, pairs):
@@ -253,12 +284,8 @@ class FlagComplex:
             for i in arr.indices}
         self.start, s0, s1, s2 = flag_sigmas(
             arr.indices, pairs, crossing_positions(arr.indices, pairs))
+        multiple_sigma1(arr.nodes, self.start, s1)
         self.sigma0, self.sigma1, self.sigma2 = s0, s1, s2
-        self._node_pairs = {}       # _dominance_min's tables, this build only
-        for f, g in enumerate(s1):
-            if g is None:
-                s1[f] = self._dominance_min(f)
-        del self._node_pairs
 
         assert list(map(s0.__getitem__, s2)) == list(map(s2.__getitem__, s0))
         assert list(map(s1.__getitem__, s1)) == list(range(len(s1)))
@@ -291,35 +318,6 @@ class FlagComplex:
     @cached_property
     def fid(self):
         return {fl: f for f, fl in enumerate(self.flags)}
-
-    # -- involutions ----------------------------------------------------
-
-    def _dominance_min(self, f):
-        """sigma1 at a multiple vertex: the two-curve images of the flag,
-        one per curve through the vertex, and the minimum of them under
-        the dominance order."""
-        i, p, eps, side = flag_of(self.indices, self.start, f)
-        node = self.node_cycles[i][p]
-        pair_of = self._node_pairs.get(node)
-        if pair_of is None:
-            # (j, k) -> the crossing pair of curves j and k, made once per
-            # node and build
-            pair_of = self._node_pairs[node] = {}
-            for pair in node:
-                a, b = abs(pair[0]), abs(pair[1])
-                pair_of[a, b] = pair_of[b, a] = pair
-        cands = [two_curve_step(pair, i, eps, side)
-                 for (a, _), pair in pair_of.items() if a == i]
-        for j, eps_j, side_j in cands:
-            # gj < gk iff the side flip then the {j,k} step takes gj to gk
-            if all(gk[0] == j
-                   or two_curve_step(pair_of[j, gk[0]], j, eps_j,
-                                     -side_j) == gk
-                   for gk in cands):
-                return flag_id(self.start, j, self.nodes[node][j],
-                               eps_j, side_j)
-        raise AssertionError("dominance relation is not total at node %r"
-                             % (sorted(node),))
 
     # -- faces ------------------------------------------------------------
 

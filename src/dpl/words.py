@@ -295,10 +295,9 @@ def signed_permutations(bases, perms=None, signs=None):
     bases = tuple(bases)
     if perms is None:
         perms = permutations(bases)
-    if signs is None:
-        signs = list(product((1, -1), repeat=len(bases)))
     for perm in perms:
-        for sg in signs:
+        for sg in (product((1, -1), repeat=len(bases)) if signs is None
+                   else signs):
             # a bijection by construction: skip the constructor's check
             sigma = object.__new__(SignedPermutation)
             sigma.images = {b: s * p for b, p, s in zip(bases, perm, sg)}

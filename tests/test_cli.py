@@ -407,6 +407,36 @@ def test_iso_marked_rejects_bad_mark(tmp_path, capsys, mark, want):
     assert json.loads(out)["code"] == want
 
 
+
+def test_iso_marked_mark_line_takes_a_comment(tmp_path, capsys):
+    from dpl import catalog
+    body = catalog.arrangement("TwoCurve").to_text()
+    (tmp_path / "a.dpl").write_text(body + "mark: 1 0 disk\n")
+    (tmp_path / "b.dpl").write_text(body + "mark: 1 0 disk   # outer cell\n")
+    (tmp_path / "c.dpl").write_text(body + "mark: 1 0 crosscap  # other\n")
+    code, out = run(capsys, "iso", str(tmp_path / "a.dpl"),
+                    str(tmp_path / "b.dpl"),
+                    "--indexed", "--oriented", "--marked")
+    assert code == 0 and json.loads(out)["isomorphic"]
+    code, out = run(capsys, "iso", str(tmp_path / "a.dpl"),
+                    str(tmp_path / "c.dpl"),
+                    "--indexed", "--oriented", "--marked")
+    assert code == 1 and not json.loads(out)["isomorphic"]
+
+
+def test_iso_marked_rejects_a_repeated_mark_line(tmp_path, capsys):
+    from dpl import catalog
+    body = catalog.arrangement("TwoCurve").to_text()
+    (tmp_path / "a.dpl").write_text(body + "mark: 1 0 disk\n")
+    for second in ("mark: 1 0 crosscap\n", "mark: 1 0 disk\n"):
+        (tmp_path / "b.dpl").write_text(body + "mark: 1 0 disk\n" + second)
+        code, out = run(capsys, "iso", str(tmp_path / "a.dpl"),
+                        str(tmp_path / "b.dpl"),
+                        "--indexed", "--oriented", "--marked")
+        assert code == 1
+        assert json.loads(out)["code"] == "format-error"
+
+
 @pytest.mark.parametrize("verb, text", [
     ("validate", "indices: 1 x\nD 1: -2 -2 2 2\nD 2: -1 -1 1 1\n"),
     ("validate", "indices: 2 -2\nD 2:\nD -2: -2 -2 2 2\n"),

@@ -2,7 +2,7 @@ import doctest
 import gc
 import random
 import weakref
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -20,6 +20,7 @@ from dpl.mutation import (
     MutationMove,
     SimpleState,
     apply_move,
+    moebius_full_census,
     projective_census,
     triangles,
 )
@@ -168,8 +169,11 @@ class TestBuildChecks:
         arr = catalog.arrangement("Upsilon")
         assert not arr.is_simple()
         flags.FlagComplex(arr)
-        monkeypatch.setattr(flags.FlagComplex, "_dominance_min",
-                            lambda self, f: 0)
+
+        def zeros(nodes, start, s1):
+            s1[:] = [0 if g is None else g for g in s1]
+
+        monkeypatch.setattr(flags, "multiple_sigma1", zeros)
         with pytest.raises(AssertionError):
             flags.FlagComplex(arr)
 
@@ -186,6 +190,108 @@ class TestBuildChecks:
         monkeypatch.setattr(flags, "flag_sigmas", broken)
         with pytest.raises(AssertionError):
             flags.FlagComplex(arr)
+
+
+def reference_dominance_min(node, i, eps, side):
+    """The dominance minima of sigma1 on flag ``(eps, side)`` of curve
+    ``i`` at ``node``, flag by flag through ``two_curve_step``: the
+    two-curve image on every other curve through the node, kept when a
+    side flip and the two-curve step from it reach every other image."""
+    pair_of = {}
+    for pair in node:
+        a, b = abs(pair[0]), abs(pair[1])
+        pair_of[a, b] = pair_of[b, a] = pair
+    cands = [two_curve_step(pair, i, eps, side)
+             for (a, _), pair in pair_of.items() if a == i]
+    return [(j, e, s) for j, e, s in cands
+            if all(k == j or two_curve_step(pair_of[j, k], j, e, -s)
+                   == (k, ek, sk) for k, ek, sk in cands)]
+
+
+def reference_sigma1(cx):
+    """sigma1 of every flag from the per-flag rule, whose minimum must be
+    unique."""
+    out = []
+    for f in range(len(cx.sigma0)):
+        i, p, eps, side = flags.flag_of(cx.indices, cx.start, f)
+        node = cx.node_cycles[i][p]
+        (j, e, s), = reference_dominance_min(node, i, eps, side)
+        out.append(flags.flag_id(cx.start, j, cx.nodes[node][j], e, s))
+    return out
+
+
+def merge_flip_walks():
+    """Every state of seeded walks of merges and flips from
+    ``cyclic_thin(3..6)``, each until no triangle is left or 16 moves."""
+    rng = random.Random(5)
+    out = []
+    for n in range(3, 7):
+        arr = cyclic_thin(n)
+        for _ in range(16):
+            tris = triangles(arr)
+            if not tris:
+                break
+            kind = rng.choice(("merge", "flip", "flip"))
+            arr = apply_move(arr, MutationMove(kind, *rng.choice(tris)))
+            out.append(arr)
+    return out
+
+
+class TestMultipleSigmaOne:
+    """sigma1 at multiple vertices, built per node from the crossing bits,
+    against the per-flag dominance rule."""
+
+    def test_matches_the_per_flag_rule(self):
+        arrs = [fx.arrangement for fx in catalog.all()] + merged_fixtures()
+        arrs += merge_flip_walks()
+        arrs += [arr for arr, _ in moebius_full_census(3)[1].values()]
+        assert len(arrs) >= 600
+        assert sum(not arr.is_simple() for arr in arrs) >= 450
+        for arr in arrs:
+            cx = arr.complex
+            assert cx.sigma1 == reference_sigma1(cx)
+
+    # Upsilon's triple node {(2, 3), (-3, -1), (-1, 2)} at positions 2, 3, 3
+    UPSILON_AT = {1: 2, 2: 3, 3: 3}
+
+    def build(self, node):
+        """sigma1 of the pass at ``node`` placed as Upsilon's triple
+        node."""
+        start = catalog.arrangement("Upsilon").complex.start
+        s1 = [None] * 48
+        flags.multiple_sigma1({node: self.UPSILON_AT}, start, s1)
+        return start, s1
+
+    def test_not_total_raises(self):
+        with pytest.raises(AssertionError,
+                           match="dominance relation is not total"):
+            self.build(frozenset({(2, 3), (-1, 3), (-1, 2)}))
+
+    def test_sign_corruptions(self):
+        """Every sign choice of the node's three pairs: the pass raises
+        exactly when some flag has no least candidate under the per-flag
+        rule, and otherwise writes the rule's first least candidate."""
+        raised = 0
+        for signs in product((1, -1), repeat=6):
+            node = frozenset((s * a, t * b) for (a, b), s, t in zip(
+                ((2, 3), (1, 3), (1, 2)), signs[::2], signs[1::2]))
+            mins = {(i, eps, side): reference_dominance_min(node, i, eps,
+                                                            side)
+                    for i in self.UPSILON_AT for eps in (1, -1)
+                    for side in (1, -1)}
+            try:
+                start, s1 = self.build(node)
+            except AssertionError as exc:
+                assert "dominance relation is not total" in str(exc)
+                assert not all(mins.values())
+                raised += 1
+                continue
+            for (i, eps, side), least in mins.items():
+                j, e, s = least[0]
+                f = flags.flag_id(start, i, self.UPSILON_AT[i], eps, side)
+                assert s1[f] == flags.flag_id(start, j, self.UPSILON_AT[j],
+                                              e, s)
+        assert raised == 32
 
 
 class TestBuildCost:

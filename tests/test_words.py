@@ -255,6 +255,20 @@ class TestSignedGroupOrder:
         assert peak < 64 * 1024
 
 
+    def test_first_member_builds_no_sign_vectors(self):
+        """The default sign vectors are enumerated per permutation, so the
+        first member at n = 18 takes no room for the 2**18 vectors."""
+        bases = tuple(range(1, 19))
+        tracemalloc.start()
+        try:
+            first = next(W.signed_permutations(bases))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first.one_line() == bases
+        assert peak < 1024 * 1024
+
+
 class TestActionOnArrangements:
     def test_group_action_law(self):
         from dpl import all_c64
