@@ -36,20 +36,41 @@ def _print(data, human=False):
 
 
 def _load_arrangement(path):
+    """The arrangement of a file or catalog fixture, and the file's mark:
+    its optional 'mark: CURVE ARC SIDE' line, at most one per file and
+    with an optional '#' comment, as ``(curve, arc, side)``, else None.
+    The arc index counts vertices along the disk cycle as written, the
+    side is 'disk' or 'crosscap'; only ``iso --marked`` reads the mark,
+    but every verb rejects a malformed or repeated one."""
     if os.path.exists(path):
         with open(path) as fh:
-            text = "\n".join(l for l in fh.read().splitlines()
-                             if not l.strip().startswith("mark:"))
-        return parse_text(text)
+            lines = fh.read().splitlines()
+        mark, body = None, []
+        for raw in lines:
+            line = raw.split("#", 1)[0].strip()
+            if not line.startswith("mark:"):
+                body.append(raw)
+                continue
+            if mark is not None:
+                raise FormatError("repeated 'mark:' line: %r" % raw)
+            fields = line[len("mark:"):].split()
+            if len(fields) != 3 or fields[2] not in ("disk", "crosscap"):
+                raise FormatError("unparseable line: %r" % line)
+            try:
+                curve, arc = int(fields[0]), int(fields[1])
+            except ValueError as exc:
+                raise FormatError("unparseable line: %r" % line) from exc
+            mark = (curve, arc, 1 if fields[2] == "crosscap" else -1)
+        return parse_text("\n".join(body)), mark
     try:
-        return _catalog.arrangement(path)
+        return _catalog.arrangement(path), None
     except UnknownFixture:
         raise UnknownFixture("no file or catalog fixture named %r" % path)
 
 
 def cmd_validate(args):
     try:
-        arr = _load_arrangement(args.file)
+        arr, _ = _load_arrangement(args.file)
     except DplError as exc:
         _print(exc.report())
         return 1
@@ -58,7 +79,7 @@ def cmd_validate(args):
 
 
 def cmd_stats(args):
-    arr = _load_arrangement(args.file)
+    arr, _ = _load_arrangement(args.file)
     aut = automorphism_order(arr)
     data = arr.to_json()
     data.update({
@@ -73,42 +94,15 @@ def cmd_stats(args):
     return 0
 
 
-def _read_mark(path):
-    """Optional 'mark: CURVE ARC SIDE' line of an arrangement file, at
-    most one per file and with an optional '#' comment; the arc index
-    counts vertices along the disk cycle as written, the side is 'disk'
-    or 'crosscap'."""
-    if not os.path.exists(path):
-        return None
-    mark = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line.startswith("mark:"):
-                continue
-            if mark is not None:
-                raise FormatError("repeated 'mark:' line: %r" % raw)
-            fields = line[len("mark:"):].split()
-            if len(fields) != 3 or fields[2] not in ("disk", "crosscap"):
-                raise FormatError("unparseable line: %r" % line)
-            try:
-                curve, arc = int(fields[0]), int(fields[1])
-            except ValueError as exc:
-                raise FormatError("unparseable line: %r" % line) from exc
-            mark = (curve, arc, 1 if fields[2] == "crosscap" else -1)
-    return mark
-
-
 def cmd_iso(args):
-    a = _load_arrangement(args.a)
-    b = _load_arrangement(args.b)
+    a, ma = _load_arrangement(args.a)
+    b, mb = _load_arrangement(args.b)
     if args.marked:
         if not (args.indexed and args.oriented):
             print(json.dumps({"code": "usage",
                               "message": "--marked needs --indexed "
                                          "--oriented"}))
             return 2
-        ma, mb = _read_mark(args.a), _read_mark(args.b)
         if ma is None or mb is None:
             print(json.dumps({"code": "usage",
                               "message": "--marked needs 'mark:' lines in "
@@ -143,7 +137,7 @@ def cmd_iso(args):
 
 
 def cmd_chirotope(args):
-    arr = _load_arrangement(args.file)
+    arr, _ = _load_arrangement(args.file)
     try:
         chi = chirotope_of(arr)
     except DplError as exc:
@@ -259,7 +253,7 @@ def cmd_catalog(args):
 
 
 def cmd_dot(args):
-    arr = _load_arrangement(args.file)
+    arr, _ = _load_arrangement(args.file)
     sys.stdout.write(arr.complex.to_dot(graph=args.graph))
     return 0
 

@@ -459,6 +459,11 @@ def _split_candidates(arr, node, m):
     or the other way round for the reversed factor.  The crosscap spans
     follow by blockwise reversal.  Both releases are validated and must
     split the vertex on the same surface.
+
+    This is the one split of the move layer: :func:`apply_move`,
+    :func:`inverse_split` and the heavy walk all call it, and its only
+    cache is :func:`_validated`, so a release is validated afresh once no
+    caller holds it.
     """
     # nodes are frozensets; an unhashable locus is unknown too
     if not isinstance(node, frozenset) or node not in arr.nodes:
@@ -508,27 +513,6 @@ def _split_candidates(arr, node, m):
     return [outs[k] for k in sorted(outs)]
 
 
-# id(arr) -> {(node, moving): releases}, while ``arr`` lives
-_RELEASES = {}
-
-
-def _releases(arr, node, m):
-    """:func:`_split_candidates`, computed once per locus for as long as
-    ``arr`` lives: :func:`inverse_split` and the :func:`apply_move` of the
-    move it returns ask for the same two releases."""
-    per = _RELEASES.get(id(arr))
-    if per is None:
-        per = _RELEASES[id(arr)] = {}
-        weakref.finalize(arr, _RELEASES.pop, id(arr))
-    try:
-        out = per.get((node, m))
-    except TypeError:       # an unhashable locus, named by the check
-        return _split_candidates(arr, node, m)
-    if out is None:
-        out = per[node, m] = _split_candidates(arr, node, m)
-    return out
-
-
 def apply_move(arr, move):
     """Apply a mutation move and return the validated result."""
     cx = arr.complex
@@ -551,15 +535,20 @@ def apply_move(arr, move):
     if move.kind == "split":
         if move.side not in ("a", "b"):
             raise IllegalLocus("unknown split side %r" % (move.side,))
-        first, second = _releases(arr, move.locus, move.moving)
+        first, second = _split_candidates(arr, move.locus, move.moving)
         return first if move.side == "a" else second
 
     raise IllegalLocus("unknown move kind %r" % move.kind)
 
 
 def inverse_split(arr, merged, node, moving):
-    """The split of ``merged`` at ``node`` undoing a merge back to ``arr``."""
-    for side, out in zip("ab", _releases(merged, node, moving)):
+    """The split of ``merged`` at ``node`` undoing a merge back to ``arr``.
+
+    It compares both releases of :func:`_split_candidates` with ``arr``
+    and keeps neither: the :func:`apply_move` of its answer splits again.
+    When ``arr`` is itself a live result of a move, the kept release has
+    its words and is ``arr`` (:func:`_validated`)."""
+    for side, out in zip("ab", _split_candidates(merged, node, moving)):
         if out.key() == arr.key():
             return MutationMove("split", node, moving, side)
     raise IllegalLocus("no split of %r restores the original" % (sorted(node),))
@@ -603,7 +592,8 @@ def moebius_full_census(n, limit=None):
     evens = _group_actions(seed.indices, evens)
 
     def keyed(state):
-        return _canonical_marked(*_heavy_marked(state), evens), state
+        cycles, tags = _heavy_marked(state)
+        return _canonical_marked(_packed(cycles), tags, evens), state
 
     def seeds():
         for sigma in cosets:
@@ -663,7 +653,8 @@ def moebius_states(n, limit=None, progress=None):
     evens = _group_actions(indices, evens)
 
     def keyed(words, tags):
-        return _canonical_marked(words, tags, evens), (words, min(tags))
+        return (_canonical_marked(_packed(words), tags, evens),
+                (words, min(tags)))
 
     def neighbours(key, state):
         for nw, pairs, survivor in _marked_flips(indices, *state):
@@ -766,15 +757,15 @@ def _group_actions(indices, group):
     return [_Action(indices, sigma) for sigma in group]
 
 
-def _canonical_marked(cycles, tags, actions, best=None):
+def _canonical_marked(packed, tags, actions, best=None):
     """Minimum of (acted cycles, least transported tag) over the compiled
     group ``actions`` and the key ``best``, if given; a member is dropped
     at the first cycle that exceeds the best.
 
-    The cycles are packed once (:func:`_packed`) and compared packed,
-    which orders them as the tuples do; only the winning key is unpacked.
+    The cycles come in the :func:`_packed` form, packed once by the
+    caller, and are compared packed, which orders them as the tuples do;
+    only the winning key is unpacked.
     """
-    packed = _packed(cycles)
     if best is not None:
         best = (tuple(map(W.pack, best[0])), best[1])
     for act in actions:
@@ -793,10 +784,10 @@ def _canonical_marked(cycles, tags, actions, best=None):
     return tuple(map(W.unpack, best[0])), best[1]
 
 
-def _odd_images(cycles, tags, odd_pure):
+def _odd_images(packed, tags, odd_pure):
     """``tags`` and their images under the first member of the compiled
-    ``odd_pure`` that fixes the family of ``cycles``, if one does."""
-    packed = _packed(cycles)
+    ``odd_pure`` that fixes the family of the :func:`_packed` cycles, if
+    one does."""
     family = [W.least_rotation(doubled, n) for n, doubled, _ in packed]
     for tau in odd_pure:
         if all(a == b for a, b in zip(tau.cycles(packed), family)):
@@ -812,11 +803,12 @@ def _phase_keys(indices, states, marked, phases="abc", progress=None):
     """The a-, b- and c-keys of the census quotient, in one pass: a dict
     per phase named in ``phases``, a prefix of ``"abc"``.
 
-    ``marked(state)`` gives a state's cycles and marked descriptor set,
-    and :func:`_odd_images` joins the tags once per state.  Phase a keys
-    every state, b the state that opens each a-class, when it opens it,
-    and c the state that opens each b-class; so each dict lists its
-    states in the order of the walk.  The d-key of a class is the cycles
+    ``marked(state)`` gives a state's cycles and marked descriptor set;
+    the cycles are packed once per state, for every phase, and
+    :func:`_odd_images` joins the tags once per state.  Phase a keys every
+    state, b the state that opens each a-class, when it opens it, and c
+    the state that opens each b-class; so each dict lists its states in
+    the order of the walk.  The d-key of a class is the cycles
     part of its c-key.  With ``progress`` it writes a line to stderr
     every ``progress`` states, and each phase line once the phase's
     number of states is known.
@@ -838,10 +830,11 @@ def _phase_keys(indices, states, marked, phases="abc", progress=None):
               file=sys.stderr, flush=True)
     for t, key in enumerate(states):
         cycles, tags = marked(states[key])
-        tags = _odd_images(cycles, tags, odd_pure)
+        packed = _packed(cycles)
+        tags = _odd_images(packed, tags, odd_pure)
         ck = None
         for out, seen, group in zip(outs, classes, actions):
-            ck = out[key] = _canonical_marked(cycles, tags, group, ck)
+            ck = out[key] = _canonical_marked(packed, tags, group, ck)
             if ck in seen:
                 break
             seen.add(ck)

@@ -437,6 +437,32 @@ def test_iso_marked_rejects_a_repeated_mark_line(tmp_path, capsys):
         assert json.loads(out)["code"] == "format-error"
 
 
+@pytest.mark.parametrize("verb", ["validate", "stats", "dot", "chirotope",
+                                  "iso"])
+@pytest.mark.parametrize("tail, want", [
+    ("mark: 1 0 disk\n", 0),
+    # only --marked checks the curve and arc range
+    ("mark: 7 9 crosscap  # a comment\n", 0),
+    ("mark: a b disk\n", "format-error"),
+    ("mark: 1 0 inside\n", "format-error"),
+    ("mark: 1 0\n", "format-error"),
+    ("mark: 1 0 disk\nmark: 1 0 disk\n", "format-error"),
+    ("mark: 1 0 disk\nmark: 2 0 crosscap\n", "format-error"),
+])
+def test_every_verb_checks_the_mark_line(tmp_path, capsys, verb, tail, want):
+    """Each verb that reads an arrangement file reads its mark line too,
+    and rejects a malformed or repeated one, not only ``iso --marked``."""
+    path = tmp_path / "a.dpl"
+    path.write_text(cyclic_thin(3).to_text() + tail)
+    files = [str(path)] * (2 if verb == "iso" else 1)
+    code, out = run(capsys, verb, *files)
+    if want == 0:
+        assert code == 0
+    else:
+        assert code == 1
+        assert json.loads(out)["code"] == want
+
+
 @pytest.mark.parametrize("verb, text", [
     ("validate", "indices: 1 x\nD 1: -2 -2 2 2\nD 2: -1 -1 1 1\n"),
     ("validate", "indices: 2 -2\nD 2:\nD -2: -2 -2 2 2\n"),

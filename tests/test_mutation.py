@@ -356,7 +356,8 @@ def phase_counts(indices, states, marked):
 
 def _class_key(cycles, tags, actions, odd_pure):
     """Key of a marked state's class, as :func:`_phase_keys` composes it."""
-    return _canonical_marked(cycles, _odd_images(cycles, tags, odd_pure),
+    packed = _packed(cycles)
+    return _canonical_marked(packed, _odd_images(packed, tags, odd_pure),
                              actions)
 
 
@@ -497,7 +498,7 @@ class TestMoebiusCensus:
         g = _census_groups(indices)
         evens = _group_actions(indices, g["evens"])
         assert len(slow) == 472 and {
-            _canonical_marked(words, tags, evens)
+            _canonical_marked(_packed(words), tags, evens)
             for words, tags in tagsets.values()} == set(fast)
 
         for words, desc in list(slow.values()) + list(fast.values()):
@@ -653,8 +654,9 @@ class TestWalk:
 def simple_orbit_keys(indices, evens, words, tags):
     """Sorted orbit keys of the flips of a marked simple state, as the
     orbit walk finds them; ``evens`` is the compiled group."""
-    return sorted(_canonical_marked(nw, _marked_face(indices, pairs,
-                                                     survivor), evens)
+    return sorted(_canonical_marked(_packed(nw),
+                                    _marked_face(indices, pairs, survivor),
+                                    evens)
                   for nw, pairs, survivor
                   in _marked_flips(indices, words, min(tags)))
 
@@ -662,8 +664,8 @@ def simple_orbit_keys(indices, evens, words, tags):
 def heavy_orbit_keys(evens, state):
     """Sorted orbit keys of the merges and splits of a marked heavy
     state; ``evens`` is the compiled group."""
-    return sorted(_canonical_marked(*_heavy_marked(st), evens)
-                  for st in _heavy_steps(state))
+    return sorted(_canonical_marked(_packed(cycles), tags, evens)
+                  for cycles, tags in map(_heavy_marked, _heavy_steps(state)))
 
 
 class TestOrbitWalk:
@@ -688,14 +690,14 @@ class TestOrbitWalk:
         _, reps = moebius_states(3)
         evens = _group_actions(indices, _even_cosets(indices)[0])
         assert len(plain) == 472 and len(reps) == 118
-        assert {_canonical_marked(words,
+        assert {_canonical_marked(_packed(words),
                                   marked_descriptors(indices, words, desc),
                                   evens)
                 for words, desc in plain.values()} == set(reps)
         for key, (words, desc) in reps.items():
             tags = marked_descriptors(indices, words, desc)
             assert desc in tags
-            assert _canonical_marked(words, tags, evens) == key
+            assert _canonical_marked(_packed(words), tags, evens) == key
 
     def test_simple_flips_are_equivariant(self):
         """For every representative x and every even reorientation sigma,
@@ -773,7 +775,7 @@ class TestGroupActions:
                 inv = sigma.inverse()
                 for d in tags:
                     assert act.transport(d) == transport_descriptor(inv, d)
-            assert _canonical_marked(cycles, tags, actions) \
+            assert _canonical_marked(_packed(cycles), tags, actions) \
                 == brute_marked_key(indices, cycles, tags, group)
 
     def test_census_groups_on_three_curves(self, lifted):
@@ -1017,11 +1019,52 @@ class TestValidatedMemo:
         assert (arr.indices, tuple(disk[i] for i in arr.indices),
                 tuple(cross[i] for i in arr.indices)) not in _VALIDATED
 
+    def test_dropped_releases_are_freed(self):
+        """A split keeps nothing once its caller drops the releases, also
+        off a catalog arrangement, which lives as long as the process."""
+        arr = catalog.arrangement("Upsilon")
+        node = next(nd for nd in arr.nodes
+                    if len({abs(x) for p in nd for x in p}) == 3)
+        entries = []
+        for m in sorted({abs(x) for p in node for x in p}):
+            for side in "ab":
+                out = apply_move(arr, MutationMove("split", node, m, side))
+                entries.append((out.indices,) + _words(out))
+        del out
+        gc.collect()
+        assert len(entries) == 6
+        assert not [e for e in entries if e in _VALIDATED]
+
+    def test_split_validates_only_releases_no_caller_holds(
+            self, monkeypatch):
+        """On a fresh merge a split validates both releases; the other
+        side, while the first is held, validates one more; asking again
+        while both are held validates none."""
+        arr = cyclic_thin(4)
+        t, m = triangles(arr)[0]
+        merged = apply_move(arr, MutationMove("merge", t, m))
+        node = next(nd for nd in merged.nodes
+                    if len({abs(x) for p in nd for x in p}) >= 3)
+        gc.collect()
+        calls = []
+
+        def counted(disk, cross):
+            calls.append(1)
+            return validate(disk, cross)
+
+        monkeypatch.setattr(mutation, "validate", counted)
+        a = apply_move(merged, MutationMove("split", node, m, "a"))
+        assert len(calls) == 2
+        b = apply_move(merged, MutationMove("split", node, m, "b"))
+        assert len(calls) == 3
+        assert apply_move(merged, MutationMove("split", node, m, "a")) is a
+        assert apply_move(merged, MutationMove("split", node, m, "b")) is b
+        assert len(calls) == 3
+
     @staticmethod
     def unmemoize(monkeypatch):
-        """Validate every family and compute every release afresh."""
+        """Validate every family afresh."""
         monkeypatch.setattr(mutation, "_validated", validate)
-        monkeypatch.setattr(mutation, "_releases", _split_candidates)
 
     def test_heavy_walk_matches_unmemoized(self, monkeypatch):
         def walk():
