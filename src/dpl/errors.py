@@ -74,6 +74,10 @@ class IllegalLocus(DplError):
     code = "illegal-locus"
 
 
+class MarkedCellLost(DplError):
+    code = "marked-cell-lost"
+
+
 class ResourceLimit(DplError):
     code = "resource-limit"
 

@@ -32,7 +32,7 @@ the nodes the move removes.
 import sys
 import weakref
 from collections import deque
-from itertools import permutations, product
+from itertools import islice
 
 from . import words as W
 from .arrangement import (
@@ -43,7 +43,7 @@ from .arrangement import (
     from_disk_only,
     validate,
 )
-from .errors import DplError, IllegalLocus, ResourceLimit
+from .errors import DplError, IllegalLocus, MarkedCellLost, ResourceLimit
 from .flags import (
     _EPS_SIDE,
     _LOW,
@@ -164,15 +164,16 @@ def _transport_pair(inv, pair):
 # the walk
 
 
-def _walk(seeds, neighbours, limit, progress):
+def _walk(seeds, neighbours, limit, progress, index=None):
     """Breadth-first walk; returns the map key -> state in the order found.
 
     ``seeds`` yields ``(key, state)`` pairs and ``neighbours(key, state)``
     those of a state's neighbours.  Every seed is stored before any state
-    is expanded, and a key keeps the first state stored under it.  The
-    walk raises :class:`ResourceLimit` when it stores state ``limit + 1``;
-    with ``progress`` it writes a line to stderr every ``progress``
-    expanded states.
+    is expanded, and a key keeps the first state stored under it; with
+    ``index``, the walk also maps each state it stores to its key there.
+    The walk raises :class:`ResourceLimit` when it stores state
+    ``limit + 1``; with ``progress`` it writes a line to stderr every
+    ``progress`` expanded states.
     """
     visited = {}
     queue = deque()
@@ -182,6 +183,8 @@ def _walk(seeds, neighbours, limit, progress):
             if key in visited:
                 continue
             visited[key] = state
+            if index is not None:
+                index[state] = key
             queue.append(key)
             if limit is not None and len(visited) > limit:
                 raise ResourceLimit("state cap %d exceeded" % limit,
@@ -325,9 +328,11 @@ def _marked_seeds(indices, base, sigmas):
 def _survivor(tags, corners):
     """A descriptor of the marked cell at a corner that a move removing
     the nodes ``corners`` keeps."""
-    survivors = [d for d in tags if d[1] not in corners]
-    assert survivors, "marked cell lost all corners"
-    return survivors[0]
+    for d in tags:
+        if d[1] not in corners:
+            return d
+    raise MarkedCellLost("the move removes every corner of the marked cell",
+                         corners=sorted(corners))
 
 
 def _marked_flips(indices, words, desc):
@@ -647,14 +652,21 @@ def moebius_states(n, limit=None, progress=None):
     reorientations: (indices, {orbit key: (words, descriptor)}), with the
     first member found in its own frame; 118 at n=3, not 472, and the cap
     counts orbits.  A flip commutes with relabeling, so one seed per coset
-    of the even reorientations (:func:`_even_cosets`) will do."""
+    of the even reorientations (:func:`_even_cosets`) will do.
+
+    A state is keyed once: a neighbour that is exactly a stored state,
+    ``(words, descriptor)``, reads its key from the walk's index."""
     indices, base = _thin_words(n)
     evens, cosets = _even_cosets(indices)
     evens = _group_actions(indices, evens)
+    index = {}
 
     def keyed(words, tags):
-        return (_canonical_marked(_packed(words), tags, evens),
-                (words, min(tags)))
+        state = (words, min(tags))
+        key = index.get(state)
+        if key is None:
+            key = _canonical_marked(_packed(words), tags, evens)
+        return key, state
 
     def neighbours(key, state):
         for nw, pairs, survivor in _marked_flips(indices, *state):
@@ -662,7 +674,7 @@ def moebius_states(n, limit=None, progress=None):
 
     seeds = (keyed(w, tags) for w, tags
              in _marked_seeds(indices, base, cosets))
-    return indices, _walk(seeds, neighbours, limit, progress)
+    return indices, _walk(seeds, neighbours, limit, progress, index)
 
 
 # ---------------------------------------------------------------------------
@@ -677,23 +689,14 @@ def moebius_states(n, limit=None, progress=None):
 # of x is P.x together with P.tau.x for any one such tau.  As tau.x has x's
 # family, the class key is the minimum over P of (acted cycles, least
 # transported descriptor of x's tags and of their tau-images).
-
-
-def _census_groups(indices):
-    signs = list(product((1, -1), repeat=len(indices)))
-    evens = [s for s in signs if s.count(-1) % 2 == 0]
-    odds = [s for s in signs if s.count(-1) % 2 == 1]
-    ident, perms = [tuple(indices)], list(permutations(indices))
-
-    def grp(ps, sgs):
-        return list(W.signed_permutations(indices, ps, sgs))
-
-    return {
-        "evens": grp(ident, evens),
-        "perm_evens": grp(perms, evens),
-        "full": grp(perms, signs),
-        "odd_pure": grp(ident, odds),
-    }
+#
+# Only phase a keys states one by one, under the even reorientations E.
+# The groups of b (reindexings times E) and c (all signed permutations) are
+# unions of cosets of E, and E is normal, so the minimum over the coset of
+# g is the a-key of g.x.  The b-key of g.x is the least of these minima
+# over the representatives of g's parity, and its c-key the least of all;
+# so keying x once per coset labels every a-class of its orbit
+# (orbit-wise generation, McKay 1998).
 
 
 def _packed(cycles):
@@ -757,17 +760,16 @@ def _group_actions(indices, group):
     return [_Action(indices, sigma) for sigma in group]
 
 
-def _canonical_marked(packed, tags, actions, best=None):
+def _canonical_marked(packed, tags, actions):
     """Minimum of (acted cycles, least transported tag) over the compiled
-    group ``actions`` and the key ``best``, if given; a member is dropped
-    at the first cycle that exceeds the best.
+    group ``actions``; a member is dropped at the first cycle that exceeds
+    the least key so far.
 
     The cycles come in the :func:`_packed` form, packed once by the
     caller, and are compared packed, which orders them as the tuples do;
     only the winning key is unpacked.
     """
-    if best is not None:
-        best = (tuple(map(W.pack, best[0])), best[1])
+    best = None
     for act in actions:
         tied = best is not None
         cand = []
@@ -795,36 +797,34 @@ def _odd_images(packed, tags, odd_pure):
     return tags
 
 
-# the group of each phase of the census quotient
-_PHASE_GROUPS = {"a": "evens", "b": "perm_evens", "c": "full"}
-
-
 def _phase_keys(indices, states, marked, phases="abc", progress=None):
     """The a-, b- and c-keys of the census quotient, in one pass: a dict
     per phase named in ``phases``, a prefix of ``"abc"``.
 
     ``marked(state)`` gives a state's cycles and marked descriptor set;
-    the cycles are packed once per state, for every phase, and
-    :func:`_odd_images` joins the tags once per state.  Phase a keys every
-    state, b the state that opens each a-class, when it opens it, and c
-    the state that opens each b-class; so each dict lists its states in
-    the order of the walk.  The d-key of a class is the cycles
-    part of its c-key.  With ``progress`` it writes a line to stderr
-    every ``progress`` states, and each phase line once the phase's
-    number of states is known.
+    the cycles are packed once per state, and :func:`_odd_images` joins
+    the tags once per state.  Phase a keys every state, b gives a key to
+    the state that opens each a-class, when it opens it, and c to the
+    state that opens each b-class; so each dict lists its states in the
+    order of the walk.  The b- and c-keys are read off labels: a state
+    that opens an a-class with no label yet is keyed once per coset of
+    the even reorientations, which labels every a-class of its orbit.
+    The d-key of a class is the cycles part of its c-key.  With
+    ``progress`` it writes a line to stderr every ``progress`` states,
+    and each phase line once the phase's number of states is known.
     """
-    groups = _census_groups(indices)
-    odd_pure = _group_actions(indices, groups["odd_pure"])
-    # each group holds the one before, so a phase starts from the key of
-    # the phase before and tries only the members its group adds
-    actions, tried = [], set()
-    for phase in phases:
-        group = groups[_PHASE_GROUPS[phase]]
-        actions.append(_group_actions(
-            indices, [s for s in group if s not in tried]))
-        tried = set(group)
-    outs = [{} for _ in phases]
-    classes = [set() for _ in phases]
+    a, b, c = ({} if phase in phases else None for phase in "abc")
+    evens, reps = _even_cosets(indices)
+    odd_pure = _group_actions(indices, [
+        tau for tau in W.signed_permutations(indices, [tuple(indices)])
+        if tau not in evens])
+    # the cosets after the first, the evens themselves; representative k
+    # of _even_cosets has the parity of k
+    cosets = [_group_actions(indices, [e.compose(g) for e in evens])
+              for g in islice(reps, 1, None)]
+    evens = _group_actions(indices, evens)
+    labels = {}     # a-key -> (b-key, c-key) of the a-classes not yet opened
+    opened_a, opened_b = set(), set()
     if progress:
         print("phase a over %d states" % len(states),
               file=sys.stderr, flush=True)
@@ -832,15 +832,26 @@ def _phase_keys(indices, states, marked, phases="abc", progress=None):
         cycles, tags = marked(states[key])
         packed = _packed(cycles)
         tags = _odd_images(packed, tags, odd_pure)
-        ck = None
-        for out, seen, group in zip(outs, classes, actions):
-            ck = out[key] = _canonical_marked(packed, tags, group, ck)
-            if ck in seen:
-                break
-            seen.add(ck)
+        ak = a[key] = _canonical_marked(packed, tags, evens)
+        if b is not None and ak not in opened_a:
+            opened_a.add(ak)
+            label = labels.pop(ak, None)
+            if label is None:
+                keys = [ak] + [_canonical_marked(packed, tags, coset)
+                               for coset in cosets]
+                halves = min(keys[0::2]), min(keys[1::2])
+                labels.update((k, (halves[r % 2], min(halves)))
+                              for r, k in enumerate(keys))
+                label = labels.pop(ak)
+            bk, ck = label
+            b[key] = bk
+            if c is not None and bk not in opened_b:
+                opened_b.add(bk)
+                c[key] = ck
         if progress and t and t % progress == 0:
             print("  a %d/%d" % (t, len(states)),
                   file=sys.stderr, flush=True)
+    outs = [d for d in (a, b, c) if d is not None]
     if progress:
         for phase, out in zip(phases[1:], outs[1:]):
             print("phase %s over %d states" % (phase, len(out)),

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -354,6 +358,22 @@ def test_enumerate_moebius_all_three(tmp_path, capsys):
     assert len(keys) == 41
     assert files_digest(out_dir.iterdir()) == (
         "d4612308ddf9cc31f25ada76ac2a91117483a449581b52e01630b2d412b9634d")
+
+
+@pytest.mark.parametrize("flags, row", [
+    ((), "3,118,22,16,12"), (("--all",), "3,531,92,59,41")])
+def test_enumerate_moebius_table_optimized(flags, row):
+    """The crosscap rows under ``python -O``, which strips ``assert``
+    statements: the census checks its invariants by raising."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "dpl.cli", "enumerate", "--n", "3",
+         "--setting", "moebius", *flags, "--table"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, row + "\n", "")
 
 
 def test_enumerate_projective_all_is_illegal(capsys):

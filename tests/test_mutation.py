@@ -1,19 +1,18 @@
 import gc
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from dpl import all_c64, catalog, cyclic_thin, from_disk_only, validate
 from dpl import mutation
-from dpl.errors import DplError, IllegalLocus, ResourceLimit
+from dpl.errors import DplError, IllegalLocus, MarkedCellLost, ResourceLimit
 from dpl.flags import FlagComplex
 from dpl.mutation import (
     _VALIDATED,
     MutationMove,
     SimpleState,
     _canonical_marked,
-    _census_groups,
     _even_cosets,
     _group_actions,
     _heavy_marked,
@@ -26,6 +25,8 @@ from dpl.mutation import (
     _pair_rows,
     _phase_keys,
     _split_candidates,
+    _survivor,
+    _walk,
     _swapped,
     _thin_words,
     _triangles,
@@ -45,7 +46,7 @@ from dpl.mutation import (
     transport_descriptor,
     triangles,
 )
-from dpl.words import SignedPermutation, unpack
+from dpl.words import SignedPermutation, signed_permutations, unpack
 
 LEFT = dict(
     disk={1: (3, 2, -2, 3, -3, -2, 2, -3),
@@ -348,6 +349,26 @@ def marked_descriptors(indices, words, desc):
     return st.face_descriptors(st.face_of[st.flag_from_descriptor(desc)])
 
 
+def census_groups(indices):
+    """The census groups as member lists: the even reorientations (phase
+    a), the reindexings times the evens (b), the whole signed group (c),
+    and the odd pure sign changes that join a state's tags."""
+    signs = list(product((1, -1), repeat=len(indices)))
+    evens = [s for s in signs if s.count(-1) % 2 == 0]
+    odds = [s for s in signs if s.count(-1) % 2 == 1]
+    ident, perms = [tuple(indices)], list(permutations(indices))
+
+    def grp(ps, sgs):
+        return list(signed_permutations(indices, ps, sgs))
+
+    return {
+        "evens": grp(ident, evens),
+        "perm_evens": grp(perms, evens),
+        "full": grp(perms, signs),
+        "odd_pure": grp(ident, odds),
+    }
+
+
 def phase_counts(indices, states, marked):
     a, b, c = _phase_keys(indices, states, marked)
     return (len(set(a.values())), len(set(b.values())),
@@ -366,7 +387,7 @@ def reference_phase_keys(indices, states, marked):
     keys every state, b one state per a-class, c one per b-class, and
     each phase reads and keys its states anew."""
     g = {name: _group_actions(indices, group)
-         for name, group in _census_groups(indices).items()}
+         for name, group in census_groups(indices).items()}
     keys = states
     phases = []
     for group in ("evens", "perm_evens", "full"):
@@ -400,6 +421,9 @@ class TestSinglePassQuotient:
                reference_phase_keys(indices, states, marked)]
         assert [list(d.items())
                 for d in _phase_keys(indices, states, marked)] == ref
+        assert [list(d.items())
+                for d in _phase_keys(indices, states, marked, "ab")] \
+            == ref[:2]
         a, = _phase_keys(indices, states, marked, "a")
         assert list(a.items()) == ref[0]
         return [len(d) for d in ref]
@@ -422,8 +446,10 @@ class TestSinglePassQuotient:
             "phase c over 22 states"]
 
     def test_each_state_read_once(self, lifted, monkeypatch):
-        """Each state is read and keyed once in phase a, and the quotient
-        of the crosscap chirotope counts keys phase a only."""
+        """Each state is read and keyed once in phase a, and the first
+        state of each of the 16 orbits once more per coset of the evens
+        after the first, 11 at n=3; the quotient of the crosscap
+        chirotope counts keys phase a only."""
         indices, _, heavy = lifted
         reads = []
 
@@ -444,7 +470,7 @@ class TestSinglePassQuotient:
         del reads[:], keyed[:]
         _phase_keys(indices, heavy, marked)
         assert len(reads) == len(heavy)
-        assert len(keyed) == 472 + 118 + 22
+        assert len(keyed) == 472 + 176 == 472 + 16 * 11
 
         phases = []
         phase_keys = mutation._phase_keys
@@ -459,24 +485,37 @@ class TestSinglePassQuotient:
             == {"n": 2, "total": 1, "simple": 1}
         assert phases == [1]
 
-    def test_phases_key_only_the_members_their_group_adds(
-            self, lifted, monkeypatch):
-        """Phase a keys over the 4 even reorientations, b over the 20
-        reindexings x evens that are not evens, c over the 24 members of
-        the full group that are not reindexings x evens; b and c start
-        from the key of the phase before."""
+    def test_orbits_key_each_coset_over_the_evens(self, lifted, monkeypatch):
+        """Every keying runs over the 4 even reorientations: once per state
+        in phase a, and once per coset after the first for the state that
+        opens each of the 16 orbits, which covers the 48 members of the
+        signed group."""
         indices, _, heavy = lifted
         keyed = []
         canonical = mutation._canonical_marked
 
-        def spy(cycles, tags, actions, best=None):
-            keyed.append((len(actions), best is None))
-            return canonical(cycles, tags, actions, best)
+        def spy(packed, tags, actions):
+            keyed.append((packed, actions))
+            return canonical(packed, tags, actions)
 
         monkeypatch.setattr(mutation, "_canonical_marked", spy)
         _phase_keys(indices, heavy, _heavy_marked)
-        assert sorted(set(keyed)) == [(4, True), (20, False), (24, False)]
-        assert [keyed.count(k) for k in sorted(set(keyed))] == [472, 118, 22]
+        assert {len(actions) for _, actions in keyed} == {4}
+        assert len(keyed) == 648
+        # a state's keyings are consecutive and share its packed cycles
+        runs = []
+        for k, (packed, actions) in enumerate(keyed):
+            if k and packed is keyed[k - 1][0]:
+                runs[-1].append(actions)
+            else:
+                runs.append([actions])
+        assert len(runs) == 472
+        assert sorted({len(run) for run in runs}) == [1, 12]
+        orbits = [run for run in runs if len(run) == 12]
+        assert len(orbits) == 16
+        # a member's translation table tells it apart
+        assert all(len({act.table for actions in run for act in actions})
+                   == 48 for run in orbits)
 
 
 class TestMoebiusCensus:
@@ -495,7 +534,7 @@ class TestMoebiusCensus:
         _, fast = moebius_states(3)
         tagsets = {key: (words, marked_descriptors(indices, words, desc))
                    for key, (words, desc) in slow.items()}
-        g = _census_groups(indices)
+        g = census_groups(indices)
         evens = _group_actions(indices, g["evens"])
         assert len(slow) == 472 and {
             _canonical_marked(_packed(words), tags, evens)
@@ -521,7 +560,7 @@ class TestMoebiusCensus:
         against the whole-group union-find on the same states."""
         indices, states, heavy = lifted
         assert len(heavy) == len(states) == 472
-        g = _census_groups(indices)
+        g = census_groups(indices)
         assert phase_counts(indices, heavy, _heavy_marked) \
             == (118, 22, 16, 12)
         assert (reference_heavy_classes(heavy, g["evens"], g["odd_pure"]),
@@ -549,7 +588,7 @@ class TestClassKeyInvariance:
     GROUPS = ("evens", "perm_evens", "full")
 
     def check(self, indices, states, act):
-        g = _census_groups(indices)
+        g = census_groups(indices)
         actions = {name: _group_actions(indices, group)
                    for name, group in g.items()}
         rng = random.Random(8)
@@ -668,6 +707,26 @@ def heavy_orbit_keys(evens, state):
                   for cycles, tags in map(_heavy_marked, _heavy_steps(state)))
 
 
+def unindexed_orbit_walk(n):
+    """:func:`moebius_states` without its index: every seed and every
+    neighbour is keyed."""
+    indices, base = _thin_words(n)
+    evens, cosets = _even_cosets(indices)
+    evens = _group_actions(indices, evens)
+
+    def keyed(words, tags):
+        return (mutation._canonical_marked(_packed(words), tags, evens),
+                (words, min(tags)))
+
+    def neighbours(key, state):
+        for nw, pairs, survivor in _marked_flips(indices, *state):
+            yield keyed(nw, _marked_face(indices, pairs, survivor))
+
+    return _walk((keyed(w, tags) for w, tags
+                  in _marked_seeds(indices, base, cosets)),
+                 neighbours, None, None)
+
+
 class TestOrbitWalk:
     """The crosscap walks store one state per orbit of the even
     reorientations; they are sound because a move commutes with every
@@ -698,6 +757,26 @@ class TestOrbitWalk:
             tags = marked_descriptors(indices, words, desc)
             assert desc in tags
             assert _canonical_marked(_packed(words), tags, evens) == key
+
+    def test_index_keys_each_stored_state_once(self, monkeypatch):
+        """The walk gives the items of the unindexed walk in the same
+        order; at n=3 it keys 196 states, where the unindexed walk keys
+        528, because 332 neighbours are states it stored."""
+        keyed = []
+        canonical = mutation._canonical_marked
+
+        def counted(*args):
+            keyed.append(args)
+            return canonical(*args)
+
+        monkeypatch.setattr(mutation, "_canonical_marked", counted)
+        for n in (2, 3):
+            del keyed[:]
+            want = list(unindexed_orbit_walk(n).items())
+            unindexed = len(keyed)
+            del keyed[:]
+            assert list(moebius_states(n)[1].items()) == want
+        assert unindexed == 528 and len(keyed) <= 196
 
     def test_simple_flips_are_equivariant(self):
         """For every representative x and every even reorientation sigma,
@@ -795,7 +874,7 @@ class TestGroupActions:
             picked += [_heavy_marked((merged, cx.face_descriptors(c)))
                        for c in cx.admissible_cells()]
         assert any(len(d[1]) > 1 for _, tags in picked for d in tags)
-        groups = _census_groups(indices)
+        groups = census_groups(indices)
         assert [len(g) for g in groups.values()] == [4, 24, 48, 4]
         for group in groups.values():
             self.check(indices, group, picked)
@@ -827,6 +906,23 @@ class TestFlipBookkeeping:
             assert sum(s * c for s, c in out.f_vector.items()) == 2 * E
             assert out.f_vector.get(3, 0) >= 1
             arr = out
+
+
+class TestSurvivor:
+    def test_a_move_removing_every_corner_raises(self):
+        """A move that removes every corner of the marked cell leaves no
+        flag to follow it by: a :class:`DplError`, which the CLI reports,
+        not an ``assert``, which ``python -O`` strips."""
+        indices, base = _thin_words(3)
+        st = SimpleState(indices, base)
+        tags = st.face_descriptors(st.admissible_cells()[0])
+        corners = {d[1] for d in tags}
+        for node in corners:
+            assert _survivor(tags, corners - {node})[1] == node
+        with pytest.raises(MarkedCellLost) as exc:
+            _survivor(tags, corners)
+        assert isinstance(exc.value, DplError)
+        assert exc.value.report()["code"] == "marked-cell-lost"
 
 
 class TestOneFlagStructure:
