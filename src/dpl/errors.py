@@ -92,3 +92,11 @@ class MalformedWord(DplError):
 
 class FormatError(DplError):
     code = "format-error"
+
+
+class BrokenInvariant(DplError):
+    """A structure built from validated input fails one of its own checks:
+    a bug, not a property of the input.  Raised, not asserted, so that
+    ``python -O`` keeps the check."""
+
+    code = "broken-invariant"

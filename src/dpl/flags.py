@@ -14,7 +14,7 @@ from functools import cached_property
 
 from . import words as W
 from .arrangement import family_key
-from .errors import GenusNotOne, MalformedWord, UnknownIndex
+from .errors import BrokenInvariant, GenusNotOne, MalformedWord, UnknownIndex
 
 # (orientation, side) of the flags at one position, in flag-number order
 _EPS_SIDE = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -40,19 +40,6 @@ def _crossing_bits(pair, i):
     if b == i or b == -i:
         return abs(a), 2 * (b < 0) + (a < 0)
     raise MalformedWord("pair %r does not involve carrier %d" % (pair, i))
-
-
-def two_curve_step(pair, i, eps, side):
-    """sigma1 of the 2-subarrangement of ``pair`` on a flag of curve ``i``.
-
-    Returns ``(j, eps', side')``: the image lies on the co-curve ``j`` at
-    the vertex of ``pair``.
-
-    >>> two_curve_step((1, 2), 1, 1, 1)
-    (2, -1, -1)
-    """
-    j, x = _crossing_bits(pair, i)
-    return (j,) + _EPS_SIDE[x ^ _SIG1_XOR[_LOW[(eps, side)]]]
 
 
 # ---------------------------------------------------------------------------
@@ -124,36 +111,51 @@ def flag_sigmas(indices, pairs, pos):
     return start, s0, s1, s2
 
 
+def node_sigma1(node):
+    """sigma1 at the vertex of ``node`` (its set of crossing pairs) on the
+    low bits of the flag numbers: ``(i, low) -> (j, c)`` takes flag
+    ``low`` of curve ``i`` to flag ``c`` of curve ``j`` at the vertex.
+
+    Flag ``low`` of ``i`` has a candidate on each other curve ``j``: flag
+    ``c_j = bits[i][j] ^ _SIG1_XOR[low]``, ``bits[i][j]`` the ``x`` of
+    :func:`_crossing_bits`.  The image is the least under dominance, the
+    ``j`` whose flipped side steps to every other candidate:
+    ``bits[j][k] ^ _SIG1_XOR[c_j ^ 1] == c_k``.  At a simple vertex the
+    one candidate is the image, the bit rule of :func:`flag_sigmas`.
+    """
+    bits = {}
+    for pair in node:
+        for i in map(abs, pair):
+            j, x = _crossing_bits(pair, i)
+            bits.setdefault(i, {})[j] = x
+    out = {}
+    for i, row in bits.items():
+        row = row.items()
+        for low, sig in enumerate(_SIG1_XOR):
+            cands = [(j, x ^ sig) for j, x in row]
+            for j, c in cands:
+                step, flip = bits[j], _SIG1_XOR[c ^ 1]
+                for k, ck in cands:
+                    if k != j and step[k] ^ flip != ck:
+                        break
+                else:
+                    out[i, low] = j, c
+                    break
+            else:
+                raise BrokenInvariant(
+                    "dominance relation is not total at node %r"
+                    % (sorted(node),))
+    return out
+
+
 def multiple_sigma1(nodes, start, s1):
     """Write sigma1 at the multiple vertices of ``nodes`` (node ->
-    {curve: position}) into ``s1``.  At a node, flag ``low`` of curve
-    ``i`` has a candidate on each other curve ``j``: flag ``c_j = bits[i][j]
-    ^ _SIG1_XOR[low]``, ``bits[i][j]`` the ``x`` of :func:`_crossing_bits`.
-    The image is the least under dominance, the ``j`` whose flipped side
-    steps to every other candidate: ``bits[j][k] ^ _SIG1_XOR[c_j ^ 1] ==
-    c_k``."""
+    {curve: position}) into ``s1``, by :func:`node_sigma1`."""
     for node, at in nodes.items():
         if len(node) == 1:
             continue
-        bits = {i: {} for i in at}
-        for pair in node:
-            for i in map(abs, pair):
-                j, x = _crossing_bits(pair, i)
-                bits[i][j] = x
-        for i, row in bits.items():
-            f = 4 * (start[i] + at[i])
-            for low, sig in enumerate(_SIG1_XOR):
-                cands = {j: x ^ sig for j, x in row.items()}
-                for j, c in cands.items():
-                    step, flip = bits[j], _SIG1_XOR[c ^ 1]
-                    if all(k == j or step[k] ^ flip == ck
-                           for k, ck in cands.items()):
-                        s1[f + low] = 4 * (start[j] + at[j]) + c
-                        break
-                else:
-                    raise AssertionError(
-                        "dominance relation is not total at node %r"
-                        % (sorted(node),))
+        for (i, low), (j, c) in node_sigma1(node).items():
+            s1[4 * (start[i] + at[i]) + low] = 4 * (start[j] + at[j]) + c
 
 
 def triangle(face, indices, start, pairs):
@@ -233,7 +235,9 @@ def side_labels(indices, start, faces, face_of):
         for k in range(start[i], end):
             # the edge after position k: crosscap face, disk face
             t, u = face_of[4 * k], face_of[4 * k + 1]
-            assert sides[t].get(i, 1) == 1 and sides[u].get(i, -1) == -1
+            if sides[t].get(i, 1) != 1 or sides[u].get(i, -1) != -1:
+                raise BrokenInvariant("face %d or %d lies on both sides of "
+                                      "curve %d" % (t, u, i))
             sides[t][i] = 1
             sides[u][i] = -1
             adj[t].append((u, i))
@@ -245,11 +249,15 @@ def side_labels(indices, start, faces, face_of):
             for u, i in adj[t]:
                 val = sides[t][curve] * (-1 if i == curve else 1)
                 if curve in sides[u]:
-                    assert sides[u][curve] == val
+                    if sides[u][curve] != val:
+                        raise BrokenInvariant(
+                            "face %d lies on both sides of curve %d"
+                            % (u, curve))
                 else:
                     sides[u][curve] = val
                     todo.append(u)
-    assert all(len(s) == len(indices) for s in sides)
+    if any(len(s) != len(indices) for s in sides):
+        raise BrokenInvariant("a face has no side of some curve")
     return sides
 
 
@@ -287,8 +295,10 @@ class FlagComplex:
         multiple_sigma1(arr.nodes, self.start, s1)
         self.sigma0, self.sigma1, self.sigma2 = s0, s1, s2
 
-        assert list(map(s0.__getitem__, s2)) == list(map(s2.__getitem__, s0))
-        assert list(map(s1.__getitem__, s1)) == list(range(len(s1)))
+        if list(map(s0.__getitem__, s2)) != list(map(s2.__getitem__, s0)):
+            raise BrokenInvariant("sigma0 does not commute with sigma2")
+        if list(map(s1.__getitem__, s1)) != list(range(len(s1))):
+            raise BrokenInvariant("sigma1 is not an involution")
 
         self._faces = None
         self._face_of = None
@@ -337,8 +347,10 @@ class FlagComplex:
     @property
     def f_vector(self):
         counts = Counter()
-        for face in self.faces:
-            assert len(face) % 2 == 0
+        for t, face in enumerate(self.faces):
+            if len(face) % 2:
+                raise BrokenInvariant("face %d has an odd number of flags"
+                                      % t)
             counts[len(face) // 2] += 1
         return dict(counts)
 
@@ -624,5 +636,7 @@ def orbit_count(arr):
     """Number of distinct reindexed/reoriented versions."""
     total = signed_group_order(arr.n)
     aut = automorphism_order(arr)
-    assert total % aut == 0
+    if total % aut:
+        raise BrokenInvariant("automorphism order %d does not divide %d"
+                              % (aut, total))
     return total // aut

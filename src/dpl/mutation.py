@@ -40,6 +40,7 @@ from .arrangement import (
     _slot_positions,
     act_words,
     cyclic_thin,
+    family_key,
     from_disk_only,
     validate,
 )
@@ -55,6 +56,7 @@ from .flags import (
     flag_id,
     flag_of,
     flag_sigmas,
+    node_sigma1,
     side_labels,
     triangle,
 )
@@ -456,19 +458,28 @@ def _validated(disk, cross):
 
 
 def _split_candidates(arr, node, m):
-    """The two releases of ``m`` off the vertex, sorted by key.
+    """The two releases of ``m`` off the vertex ``node``, sorted by key:
+    ``(key, disk, crosscap, vertices)`` each, built from words and not
+    validated.
 
     ``m``'s factor at the vertex keeps its order or is reversed; every
     other carrier ``c`` moves its ``m`` letter to the head of its factor
     when ``c`` enters ``m``'s factor negatively and to the tail otherwise,
     or the other way round for the reversed factor.  The crosscap spans
-    follow by blockwise reversal.  Both releases are validated and must
-    split the vertex on the same surface.
+    follow by blockwise reversal.  Each letter keeps its crossing pair,
+    because a factor holds one letter per co-index, so no letter passes
+    another of its co-index.  ``vertices`` maps each curve through the
+    vertex to the nodes its new factors make, in walk order
+    (:func:`_keeps_surface`).
 
-    This is the one split of the move layer: :func:`apply_move`,
-    :func:`inverse_split` and the heavy walk all call it, and its only
-    cache is :func:`_validated`, so a release is validated afresh once no
-    caller holds it.
+    The key is :func:`arrangement.family_key` of the words, which is the
+    :meth:`Arrangement.key` of the validated release: validation only
+    rotates the crosscap words, and the key reads least rotations.  Equal
+    keys raise :class:`IllegalLocus`.
+
+    This is the one split of the move layer: :func:`apply_move` validates
+    the release it is asked for, :func:`inverse_split` none and the heavy
+    walk both, each through :func:`_release`.
     """
     # nodes are frozensets; an unhashable locus is unknown too
     if not isinstance(node, frozenset) or node not in arr.nodes:
@@ -480,48 +491,125 @@ def _split_candidates(arr, node, m):
         raise IllegalLocus("curve %r not through the vertex" % m)
     spans = {c: arr.spans[c][arr.nodes[node][c]] for c in bases}
     negative = {-x for x in (arr.disk[m][p] for p in spans[m]) if x < 0}
-    outs = {}
+    rest = frozenset(pair for pair in node
+                     if m not in (abs(pair[0]), abs(pair[1])))
+    outs = []
     for keep in (True, False):
-        disk = dict(arr.disk)
-        cross = dict(arr.crosscap)
+        disk, cross = dict(arr.disk), dict(arr.crosscap)
+        vertices = {}
         for c in bases:
-            dspan = [arr.disk[c][p] for p in spans[c]]
+            span, word, row = spans[c], arr.disk[c], arr.S[c]
             if c == m:
-                nd = dspan if keep else dspan[::-1]
-                nm = [-x for x in nd]
+                order = range(len(span))
+                factors = [[t] for t in (order if keep else reversed(order))]
             else:
-                k = next(t for t, x in enumerate(dspan) if abs(x) == m)
-                mlet = dspan[k]
-                residual = dspan[:k] + dspan[k + 1:]
-                rev = [-x for x in residual[::-1]]
-                if (c in negative) == keep:
-                    nd, nm = [mlet] + residual, [-mlet] + rev
-                else:
-                    nd, nm = residual + [mlet], rev + [-mlet]
-            dw, mw = list(disk[c]), list(cross[c])
-            for p, x, y in zip(spans[c], nd, nm):
-                dw[p], mw[p] = x, y
+                k = next(t for t, p in enumerate(span) if abs(word[p]) == m)
+                residual = [t for t in range(len(span)) if t != k]
+                factors = ([[k], residual] if (c in negative) == keep
+                           else [residual, [k]])
+            dw, mw = list(word), list(cross[c])
+            at = iter(span)
+            for factor in factors:
+                for t, u in zip(factor, reversed(factor)):
+                    p = next(at)
+                    dw[p], mw[p] = word[span[t]], -word[span[u]]
             disk[c], cross[c] = tuple(dw), tuple(mw)
-        try:
-            out = _validated(disk, cross)
-        except DplError:
-            continue
-        if node in out.nodes:
-            continue  # vertex not actually split
-        if out.genus != arr.genus:
-            continue  # a mutation never changes the surface
-        outs.setdefault(out.key(), out)
-    if len(outs) != 2:
-        raise IllegalLocus(
-            "vertex %r admits %d releases of %d, expected 2"
-            % (sorted(node), len(outs), m))
-    return [outs[k] for k in sorted(outs)]
+            vertices[c] = tuple(frozenset((row[span[f[0]]],)) if len(f) == 1
+                                else rest for f in factors)
+        outs.append((family_key(arr.indices, disk, cross), disk, cross,
+                     vertices))
+    if outs[0][0] == outs[1][0]:
+        raise IllegalLocus("vertex %r releases %d to one arrangement twice"
+                           % (sorted(node), m))
+    return sorted(outs, key=lambda out: out[0])
+
+
+def _keeps_surface(node, vertices):
+    """Whether a release of a curve off ``node`` is on the source's surface,
+    read off the release's ``vertices`` (:func:`_split_candidates`).
+
+    Releasing a curve off a vertex of k curves splits the factor at the
+    vertex of each other curve in two and the released curve's into k - 1
+    letters.  So a release that validates has k - 1 more vertices and
+    2k - 3 more edges, and its surface has the source's Euler
+    characteristic, and genus, exactly when it has k - 2 more faces.
+
+    Outside a small disk around the vertex both arrangements have the same
+    flags and the same sigma0 and sigma1, so a face that misses the disk
+    is a face of both.  A face that enters the disk does so at the 4k flags
+    of the 2k edges leaving it, its ports, here ``(curve, low bits of the
+    flag number)``.  In the source, sigma1 at the vertex joins the ports in
+    pairs (:func:`flags.node_sigma1`); in the release, a walk inside the
+    disk does, alternating sigma1 at the new vertices and sigma0 along the
+    new edges, as :func:`_marked_face` walks a face.  When the two joinings
+    agree, the faces through the disk correspond one to one and the
+    release adds exactly its inner faces, those whose walk meets no port;
+    so it keeps the surface when there are k - 2 of them, the cells
+    between the released curve and the vertex.  A release that joins the
+    ports otherwise is no move inside the disk and is refused; on every
+    such placement the tests try, the genus of the whole complex changes
+    too.
+    """
+    at = {}
+    for c, nodes in vertices.items():
+        for q, u in enumerate(nodes):
+            at.setdefault(u, {})[c] = q
+    sigma1 = {u: node_sigma1(u) for u in at}
+    last = {c: len(nodes) - 1 for c, nodes in vertices.items()}
+    seen = set()
+
+    def walk(i, q, b):
+        """Alternate sigma1 and sigma0 from flag ``(curve, position,
+        low bits)``: the port where the walk leaves the disk, or None when
+        it closes an inner face."""
+        first = i, q, b
+        while True:
+            seen.add((i, q, b))
+            u = vertices[i][q]
+            i, b = sigma1[u][i, b]
+            q = at[u][i]
+            seen.add((i, q, b))
+            if q == (0 if b & 2 else last[i]):
+                return i, b
+            q += -1 if b & 2 else 1
+            b ^= 2
+            if (i, q, b) == first:
+                return None
+
+    # the port flags: backward flags at the first vertex, forward ones at
+    # the last; a port reached from another is done
+    source = node_sigma1(node)
+    for c in vertices:
+        for low in range(4):
+            q = 0 if low & 2 else last[c]
+            if (c, q, low) not in seen and walk(c, q, low) != source[c, low]:
+                return False
+    flags = [(c, q, low) for c, nodes in vertices.items()
+             for q in range(len(nodes)) for low in range(4)]
+    inner = sum(walk(*f) is None for f in flags if f not in seen)
+    return inner == len(vertices) - 2
+
+
+def _release(node, m, release):
+    """The validated arrangement of one of :func:`_split_candidates`'s
+    releases, or :class:`IllegalLocus` if it is no arrangement or leaves
+    the source's surface (:func:`_keeps_surface`)."""
+    _, disk, cross, vertices = release
+    try:
+        out = _validated(disk, cross)
+    except DplError as exc:
+        raise IllegalLocus("release of %d off vertex %r is no arrangement: %s"
+                           % (m, sorted(node), exc)) from exc
+    if not _keeps_surface(node, vertices):
+        raise IllegalLocus("release of %d off vertex %r changes the surface"
+                           % (m, sorted(node)))
+    return out
 
 
 def apply_move(arr, move):
     """Apply a mutation move and return the validated result."""
-    cx = arr.complex
     if move.kind in ("merge", "flip"):
+        cx = arr.complex
         t = move.locus
         if not isinstance(t, int) or not 0 <= t < len(cx.faces):
             raise IllegalLocus("unknown face %r" % (t,))
@@ -540,8 +628,9 @@ def apply_move(arr, move):
     if move.kind == "split":
         if move.side not in ("a", "b"):
             raise IllegalLocus("unknown split side %r" % (move.side,))
-        first, second = _split_candidates(arr, move.locus, move.moving)
-        return first if move.side == "a" else second
+        releases = _split_candidates(arr, move.locus, move.moving)
+        return _release(move.locus, move.moving,
+                        releases["ab".index(move.side)])
 
     raise IllegalLocus("unknown move kind %r" % move.kind)
 
@@ -549,12 +638,13 @@ def apply_move(arr, move):
 def inverse_split(arr, merged, node, moving):
     """The split of ``merged`` at ``node`` undoing a merge back to ``arr``.
 
-    It compares both releases of :func:`_split_candidates` with ``arr``
-    and keeps neither: the :func:`apply_move` of its answer splits again.
-    When ``arr`` is itself a live result of a move, the kept release has
-    its words and is ``arr`` (:func:`_validated`)."""
-    for side, out in zip("ab", _split_candidates(merged, node, moving)):
-        if out.key() == arr.key():
+    It compares the keys of both releases of :func:`_split_candidates`
+    with ``arr``'s and validates neither: the :func:`apply_move` of its
+    answer validates the release, or finds ``arr`` when ``arr`` is itself
+    a live result of a move (:func:`_validated`)."""
+    key = arr.key()
+    for side, release in zip("ab", _split_candidates(merged, node, moving)):
+        if release[0] == key:
             return MutationMove("split", node, moving, side)
     raise IllegalLocus("no split of %r restores the original" % (sorted(node),))
 
@@ -579,8 +669,8 @@ def _heavy_steps(state):
         if len(bases) < 3:
             continue
         for m in sorted(bases):
-            steps += [(out, {tuple(sorted(node))})
-                      for out in _split_candidates(arr, node, m)]
+            steps += [(_release(node, m, release), {tuple(sorted(node))})
+                      for release in _split_candidates(arr, node, m)]
     for out, corners in steps:
         ocx = out.complex
         f = ocx.flag_from_descriptor(_survivor(marked_tags, corners))

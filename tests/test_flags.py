@@ -1,6 +1,10 @@
 import doctest
 import gc
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import weakref
 from itertools import combinations, product
 
@@ -8,13 +12,16 @@ import pytest
 
 from dpl import all_c64, catalog, cyclic_thin, validate
 from dpl import flags, mutation
-from dpl.errors import DplError, GenusNotOne
+from dpl.errors import BrokenInvariant, DplError, GenusNotOne
 from dpl.flags import (
+    _EPS_SIDE,
+    _LOW,
+    _SIG1_XOR,
+    _crossing_bits,
     automorphism_order,
     face_orbits,
     orbit_count,
     stabilizer,
-    two_curve_step,
 )
 from dpl.mutation import (
     MutationMove,
@@ -45,6 +52,20 @@ SIGMA1_TABLE = {
     (3, -1, 1): (2, -1, -1),  (3, 1, 1): (2, -1, 1),
     (4, -1, 1): (4, -1, 1),   (4, 1, 1): (4, -1, -1),
 }
+
+
+def two_curve_step(pair, i, eps, side):
+    """sigma1 of the 2-subarrangement of ``pair`` on a flag of curve ``i``.
+
+    Returns ``(j, eps', side')``: the image lies on the co-curve ``j`` at
+    the vertex of ``pair``.  The per-flag statement of the bit rule that
+    :func:`flags.flag_sigmas` and :func:`flags.node_sigma1` apply.
+
+    >>> two_curve_step((1, 2), 1, 1, 1)
+    (2, -1, -1)
+    """
+    j, x = _crossing_bits(pair, i)
+    return (j,) + _EPS_SIDE[x ^ _SIG1_XOR[_LOW[(eps, side)]]]
 
 
 def reference_stabilizer(arr):
@@ -163,7 +184,8 @@ class TestFlagTable:
 
 
 class TestBuildChecks:
-    """The two checks of a build still fire."""
+    """The two checks of a build still fire, as :class:`BrokenInvariant`,
+    also under ``python -O``."""
 
     def test_sigma1_not_an_involution(self, monkeypatch):
         arr = catalog.arrangement("Upsilon")
@@ -174,7 +196,8 @@ class TestBuildChecks:
             s1[:] = [0 if g is None else g for g in s1]
 
         monkeypatch.setattr(flags, "multiple_sigma1", zeros)
-        with pytest.raises(AssertionError):
+        with pytest.raises(BrokenInvariant,
+                           match="sigma1 is not an involution"):
             flags.FlagComplex(arr)
 
     def test_sigma0_not_commuting_with_sigma2(self, monkeypatch):
@@ -188,8 +211,34 @@ class TestBuildChecks:
 
         flags.FlagComplex(arr)
         monkeypatch.setattr(flags, "flag_sigmas", broken)
-        with pytest.raises(AssertionError):
+        with pytest.raises(BrokenInvariant,
+                           match="sigma0 does not commute with sigma2"):
             flags.FlagComplex(arr)
+
+    def test_checks_survive_optimize(self):
+        """A build with a corrupted sigma1 raises under ``python -O``,
+        which strips ``assert`` statements."""
+        code = textwrap.dedent("""
+            from dpl import catalog, flags
+            from dpl.errors import BrokenInvariant
+            assert False, "assert statements are not stripped"
+            arr = catalog.arrangement("Upsilon")
+
+            def zeros(nodes, start, s1):
+                s1[:] = [0 if g is None else g for g in s1]
+
+            flags.multiple_sigma1 = zeros
+            try:
+                flags.FlagComplex(arr)
+            except BrokenInvariant as exc:
+                print(exc)
+        """)
+        src = os.path.dirname(os.path.dirname(flags.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "sigma1 is not an involution"
 
 
 def reference_dominance_min(node, i, eps, side):
@@ -263,7 +312,7 @@ class TestMultipleSigmaOne:
         return start, s1
 
     def test_not_total_raises(self):
-        with pytest.raises(AssertionError,
+        with pytest.raises(BrokenInvariant,
                            match="dominance relation is not total"):
             self.build(frozenset({(2, 3), (-1, 3), (-1, 2)}))
 
@@ -281,7 +330,7 @@ class TestMultipleSigmaOne:
                     for side in (1, -1)}
             try:
                 start, s1 = self.build(node)
-            except AssertionError as exc:
+            except BrokenInvariant as exc:
                 assert "dominance relation is not total" in str(exc)
                 assert not all(mins.values())
                 raised += 1
@@ -662,4 +711,13 @@ class TestLifetime:
 
 def test_doctests():
     result = doctest.testmod(flags)
+    assert result.attempted > 0 and result.failed == 0
+
+
+def test_two_curve_step_doctest():
+    runner = doctest.DocTestRunner()
+    for test in doctest.DocTestFinder().find(
+            two_curve_step, globs={"two_curve_step": two_curve_step}):
+        runner.run(test)
+    result = runner.summarize(verbose=False)
     assert result.attempted > 0 and result.failed == 0

@@ -62,6 +62,12 @@ RIGHT = dict(
               3: (2, 1, 2, -1, -1, -2, -2, 1)})
 
 
+def releases(arr, node, m):
+    """Both releases of ``m`` off ``node``, sides "a" and "b"."""
+    return [apply_move(arr, MutationMove("split", node, m, side))
+            for side in "ab"]
+
+
 class TestMoves:
     def test_published_split(self):
         """Splitting one triple point of the non-simple arrangement
@@ -124,7 +130,7 @@ class TestMoves:
                             if len({abs(x) for p in nd for x in p}) >= 3)
                 flipped = apply_move(arr, MutationMove("flip", t, m))
                 assert arr.key() != flipped.key()
-                assert ({out.key() for out in _split_candidates(merged, node, m)}
+                assert ({out.key() for out in releases(merged, node, m)}
                         == {arr.key(), flipped.key()})
                 cases += 1
         assert cases == 183
@@ -153,7 +159,7 @@ class TestMoves:
         first, second = _split_candidates(merged, node, m)
         for side, want in (("a", first), ("b", second)):
             out = apply_move(merged, MutationMove("split", node, m, side))
-            assert out.key() == want.key()
+            assert out.key() == want[0]
         for side in ("zz", None, "A"):
             with pytest.raises(IllegalLocus, match="split side"):
                 apply_move(merged, MutationMove("split", node, m, side))
@@ -975,60 +981,156 @@ class TestOneFlagStructure:
                         for d in cx.face_descriptors(t)} == set(face)
 
 
-def reference_releases(arr, node, m):
-    """Keys of the releases of ``m`` off ``node`` by generate-and-test:
-    every head/tail placement of the released crossings on every carrier,
-    kept when it validates, splits the vertex and keeps the genus."""
-    bases = sorted({abs(x) for pair in node for x in pair})
+def curves_at(node):
+    return sorted({abs(x) for pair in node for x in pair})
+
+
+def generated_releases(arr, node, m):
+    """``(key, disk, crosscap, vertices, kept)`` of every head/tail
+    placement of the released crossings on every carrier that validates:
+    the first four as :func:`mutation._split_candidates` gives them, and
+    ``kept`` whether the placement splits the vertex and keeps the genus
+    of the whole complex."""
+    bases = curves_at(node)
+    rest = frozenset(pair for pair in node if m not in map(abs, pair))
     carriers = [c for c in bases if c != m] + [m]
-    keys = set()
+    out = []
     for choice in product((True, False), repeat=len(carriers)):
         disk, cross = dict(arr.disk), dict(arr.crosscap)
+        vertices = {}
         for c, head in zip(carriers, choice):
             span = arr.spans[c][arr.nodes[node][c]]
             dspan = [arr.disk[c][p] for p in span]
+            srow = [arr.S[c][p] for p in span]
             if c == m:
                 nd = dspan if head else dspan[::-1]
                 nm = [-x for x in nd]
+                row = srow if head else srow[::-1]
+                vertices[c] = tuple(frozenset((pair,)) for pair in row)
             else:
                 k = next(t for t, x in enumerate(dspan) if abs(x) == m)
                 residual = dspan[:k] + dspan[k + 1:]
                 rev = [-x for x in residual[::-1]]
                 nd = [dspan[k]] + residual if head else residual + [dspan[k]]
                 nm = [-dspan[k]] + rev if head else rev + [-dspan[k]]
+                mine = frozenset((srow[k],))
+                vertices[c] = (mine, rest) if head else (rest, mine)
             dw, mw = list(disk[c]), list(cross[c])
             for p, x, y in zip(span, nd, nm):
                 dw[p], mw[p] = x, y
             disk[c], cross[c] = tuple(dw), tuple(mw)
         try:
-            out = validate(disk, cross)
+            rel = validate(disk, cross)
         except DplError:
             continue
-        if node not in out.nodes and out.genus == arr.genus:
-            keys.add(out.key())
-    return sorted(keys)
+        out.append((rel.key(), disk, cross, vertices,
+                    node not in rel.nodes and rel.genus == arr.genus))
+    return out
+
+
+def reference_releases(arr, node, m):
+    """Keys of the releases of ``m`` off ``node`` by generate-and-test:
+    the placements of :func:`generated_releases` that are kept."""
+    return sorted({key for key, *_, kept in generated_releases(arr, node, m)
+                   if kept})
+
+
+# An arrangement with a vertex of four curves, found by generate-and-test
+# among the merges of seeded merge/flip walks from ``cyclic_thin(4)``.
+FOUR_FOLD = dict(
+    disk={1: (-4, 2, 3, -2, 4, 3, 4, -2, -3, -4, -3, 2),
+          2: (3, 4, 3, 4, 1, 1, -3, -1, -3, -4, -1, -4),
+          3: (4, 1, 4, -4, 2, 1, 2, -4, -1, -1, -2, -2),
+          4: (2, 1, 1, 2, 3, -1, 3, -3, -1, -2, -2, -3)},
+    crosscap={1: (4, -2, -3, -3, -4, 2, -4, 2, 3, 4, 3, -2),
+              2: (-3, -4, -3, -4, -1, -1, 3, 4, 3, 1, 1, 4),
+              3: (-4, -1, -4, -1, -2, 4, -2, 4, 1, 1, 2, 2),
+              4: (-2, -1, -1, -2, -3, 1, -3, 2, 1, 3, 2, 3)})
+
+
+@pytest.fixture(scope="module")
+def split_cases():
+    """``(arrangement, node, curve, generated releases)`` of every curve
+    at every multiple vertex of the catalog and of every merge of it."""
+    arrs = []
+    for fx in catalog.all():
+        arrs.append(fx.arrangement)
+        arrs += [apply_move(fx.arrangement, MutationMove("merge", t, m))
+                 for t, m in triangles(fx.arrangement)]
+    assert {arr.genus for arr in arrs} == {1, 3, 7}
+    return [(arr, node, m, generated_releases(arr, node, m))
+            for arr in arrs for node in arr.nodes
+            if len(curves_at(node)) >= 3 for m in curves_at(node)]
 
 
 class TestSplitReleases:
-    def test_two_releases_match_generate_and_test(self):
+    def test_two_releases_match_generate_and_test(self, split_cases):
         """On the catalog and every merge of it (genus 1, 3 and 7)."""
-        arrs = []
-        for fx in catalog.all():
-            arrs.append(fx.arrangement)
-            arrs += [apply_move(fx.arrangement, MutationMove("merge", t, m))
-                     for t, m in triangles(fx.arrangement)]
-        assert {arr.genus for arr in arrs} == {1, 3, 7}
+        for arr, node, m, generated in split_cases:
+            assert ([out.key() for out in releases(arr, node, m)]
+                    == sorted({key for key, *_, kept in generated if kept}))
+        assert len(split_cases) == 678
+
+    def test_local_surface_matches_whole_genus(self, split_cases):
+        """The local decision of :func:`mutation._keeps_surface` equals
+        the whole-complex comparison on every placement that validates:
+        the two releases of each pair, and the placements that change
+        the genus."""
+        counts = {True: 0, False: 0}
+        for arr, node, m, generated in split_cases:
+            for *_, vertices, kept in generated:
+                assert mutation._keeps_surface(node, vertices) == kept
+                counts[kept] += 1
+        assert counts == {True: 1356, False: 4068}
+
+    def test_refused_releases_raise(self, split_cases):
+        """A release that leaves the surface, or is no arrangement, raises
+        :class:`IllegalLocus`."""
+        arr, node, m, generated = split_cases[0]
+        key, disk, cross, vertices, _ = next(g for g in generated
+                                             if not g[-1])
+        with pytest.raises(IllegalLocus, match="changes the surface"):
+            mutation._release(node, m, (key, disk, cross, vertices))
+        disk = dict(disk)
+        disk[m] = disk[m][1:]       # one letter short
+        with pytest.raises(IllegalLocus, match="is no arrangement"):
+            mutation._release(node, m, (key, disk, cross, vertices))
+
+    def test_local_surface_on_the_heavy_walk(self):
+        """The same on every release the merge/split walk of
+        ``moebius_full_census(3)`` makes, with the releases' own
+        vertices."""
+        _, states = moebius_full_census(3)
         cases = 0
-        for arr in arrs:
+        for arr, _ in states.values():
             for node in arr.nodes:
-                bases = sorted({abs(x) for pair in node for x in pair})
-                if len(bases) < 3:
+                if len(curves_at(node)) < 3:
                     continue
-                for m in bases:
-                    got = [out.key() for out in _split_candidates(arr, node, m)]
-                    assert got == reference_releases(arr, node, m)
-                    cases += 1
-        assert cases == 678
+                for m in curves_at(node):
+                    for _, disk, cross, vertices in _split_candidates(
+                            arr, node, m):
+                        out = validate(disk, cross)
+                        assert mutation._keeps_surface(node, vertices)
+                        assert node not in out.nodes
+                        assert out.genus == arr.genus
+                        cases += 1
+        assert cases == 3672
+
+    def test_four_curves_at_a_vertex(self):
+        """A vertex of four curves: two releases per curve, and the local
+        decision equals the whole-complex comparison on all 16
+        placements."""
+        arr = validate(**FOUR_FOLD)
+        assert arr.genus == 1
+        node, = (nd for nd in arr.nodes if len(curves_at(nd)) == 4)
+        for m in curves_at(node):
+            generated = generated_releases(arr, node, m)
+            assert len(generated) == 16
+            for *_, vertices, kept in generated:
+                assert mutation._keeps_surface(node, vertices) == kept
+            assert ([out.key() for out in releases(arr, node, m)]
+                    == reference_releases(arr, node, m))
+            assert sum(kept for *_, kept in generated) == 2
 
 
 def _words(arr):
@@ -1133,9 +1235,9 @@ class TestValidatedMemo:
 
     def test_split_validates_only_releases_no_caller_holds(
             self, monkeypatch):
-        """On a fresh merge a split validates both releases; the other
-        side, while the first is held, validates one more; asking again
-        while both are held validates none."""
+        """On a fresh merge a split validates the release it is asked
+        for; the other side validates one more; asking again while both
+        are held validates none."""
         arr = cyclic_thin(4)
         t, m = triangles(arr)[0]
         merged = apply_move(arr, MutationMove("merge", t, m))
@@ -1150,12 +1252,41 @@ class TestValidatedMemo:
 
         monkeypatch.setattr(mutation, "validate", counted)
         a = apply_move(merged, MutationMove("split", node, m, "a"))
-        assert len(calls) == 2
+        assert len(calls) == 1
         b = apply_move(merged, MutationMove("split", node, m, "b"))
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert apply_move(merged, MutationMove("split", node, m, "a")) is a
         assert apply_move(merged, MutationMove("split", node, m, "b")) is b
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_inverse_split_validates_and_builds_nothing(self, n,
+                                                         monkeypatch):
+        """``inverse_split`` compares keys of words: no validation and no
+        flag complex; the ``apply_move`` of its answer validates at most
+        the one release and builds no flag complex either."""
+        arr = cyclic_thin(n)
+        t, m = triangles(arr)[0]
+        merged = apply_move(arr, MutationMove("merge", t, m))
+        node = next(nd for nd in merged.nodes if len(curves_at(nd)) >= 3)
+        gc.collect()
+        validations, builds = [], []
+        build = FlagComplex.__init__
+
+        def counted_validate(disk, cross):
+            validations.append(1)
+            return validate(disk, cross)
+
+        def counted_build(self, arr):
+            builds.append(1)
+            build(self, arr)
+
+        monkeypatch.setattr(mutation, "validate", counted_validate)
+        monkeypatch.setattr(FlagComplex, "__init__", counted_build)
+        move = inverse_split(arr, merged, node, m)
+        assert (len(validations), len(builds)) == (0, 0)
+        assert apply_move(merged, move).key() == arr.key()
+        assert len(validations) <= 1 and len(builds) == 0
 
     @staticmethod
     def unmemoize(monkeypatch):
