@@ -338,6 +338,15 @@ def relations_from(chi, genus_one=True):
     with it.  Returns ``{(carrier, flavor): order}``, each order a tuple of
     pairs, together with the block partners; raises NotTransitive or
     BlockInconsistent with a witness subset on failure.
+
+    The agreement is checked once per co-index set ``B``: the pairs of
+    ``B``'s cycle, taken in the order, must be a rotation of the cycle.
+    That is enough, since a triple of pairs is read against the cycle of
+    its own co-index set, and three elements of a cycle lie in the same
+    cyclic order in any rotation of it and in any cyclic sequence that
+    holds it as a subsequence.  Only when some set fails is every triple
+    compared, in a fixed order, so that the first failing one names the
+    witness.
     """
     ext4 = {}
     for J in combinations(chi.indices, 4):
@@ -379,12 +388,15 @@ def relations_from(chi, genus_one=True):
             order = (first,) + tuple(sorted(syms[1:], key=cmp_to_key(
                 lambda x, y: -1 if holds(first, x, y) else 1)))
             at = {p: t for t, p in enumerate(order)}
-            for a, b, c in combinations(syms, 3):
-                if holds(a, b, c) != _cyclic_before(at, a, b, c):
-                    raise NotTransitive(
-                        "relation of carrier %d not transitive" % i,
-                        carrier=i, flavor=flavor,
-                        witness=sorted({i, co[first], co[a], co[b], co[c]}))
+            if not all(_rotates(cycle, at) for cycle in pos.values()):
+                # some triple fails; the scan finds the first, the witness
+                for a, b, c in combinations(syms, 3):
+                    if holds(a, b, c) != _cyclic_before(at, a, b, c):
+                        raise NotTransitive(
+                            "relation of carrier %d not transitive" % i,
+                            carrier=i, flavor=flavor,
+                            witness=sorted({i, co[first], co[a], co[b],
+                                            co[c]}))
             orders[(i, flavor)] = order
         partner = {}
         for bases in combinations(cos, 2):
@@ -402,6 +414,14 @@ def relations_from(chi, genus_one=True):
                             "block relation of carrier %d not transitive" % i,
                             carrier=i)
     return orders, blocks
+
+
+def _rotates(pos, at):
+    """Do the pairs of one cycle, with position map ``pos``, lie in the
+    order ``at`` as a rotation of the cycle?"""
+    seq = sorted(pos, key=at.__getitem__)
+    n, first = len(seq), pos[seq[0]]
+    return all(pos[p] == (first + t) % n for t, p in enumerate(seq))
 
 
 def _cyclic_before(pos, a, b, c):

@@ -150,6 +150,12 @@ def cmd_chirotope(args):
 def cmd_check(args):
     with open(args.file) as fh:
         chi = parse_chirotope(fh.read())
+    n = len(chi.indices)
+    if not 3 <= args.k <= n:
+        print(json.dumps({"code": "usage",
+                          "message": "--k must be between 3 and %d, the "
+                                     "number of indices" % n}))
+        return 2
     ok, diag = is_k_chirotope(chi, args.k, diagnose=True)
     _print({"accepted": ok, "k": args.k,
             **({"witness": diag} if diag else {})})

@@ -131,13 +131,14 @@ def reference_relations_from(chi, genus_one=True):
 
     orders = {}
     for (i, flavor), cycles in rels.items():
+        co = {p: b for bases, cyc in cycles.items() if len(bases) == 1
+              for b in bases for p in cyc}
+
         def holds(alpha, beta, gamma):
-            bases = frozenset(abs(W.co_index(p, i))
-                              for p in (alpha, beta, gamma))
+            bases = frozenset((co[alpha], co[beta], co[gamma]))
             return before(cycles[bases], alpha, beta, gamma)
 
-        syms = sorted({p for bases, cyc in cycles.items()
-                       if len(bases) == 1 for p in cyc})
+        syms = sorted(co)
         for alpha, beta, gamma in combinations(syms, 3):
             assert holds(alpha, beta, gamma) != holds(alpha, gamma, beta)
         anchor = syms[0]
@@ -343,8 +344,9 @@ class TestAxiomCheck:
 
         ct6 = chirotope_of(cyclic_thin(6))
         c64 = chirotope_of(all_c64(5))
-        corpus = [(c04_versions_on_five(mask), True)
-                  for mask in random.Random(10).sample(range(1024), 16)]
+        masks = random.Random(10).sample(range(1024), 16)
+        masks += range(0, 1024, 32)
+        corpus = [(c04_versions_on_five(mask), True) for mask in masks]
         corpus += [(all_c04_file(), True), (c64, False), (c64, True),
                    (chirotope_of(cyclic_thin(7)), True)]
         corpus += [(ct6.restriction(J), True)
@@ -355,6 +357,21 @@ class TestAxiomCheck:
             assert got == outcome(reference_relations_from, chi, genus_one)
             codes.add(got[2]["code"] if len(got) == 3 else "accepted")
         assert {"accepted", "not-transitive"} <= codes
+
+    def test_sort_comparisons_only(self, monkeypatch):
+        """An accepted carrier costs the comparisons of its sort: the
+        triples of its crossing pairs are not scanned one by one."""
+        calls = []
+        plain = chirotope._cyclic_before
+
+        def counted(pos, a, b, c):
+            calls.append(None)
+            return plain(pos, a, b, c)
+
+        chi = chirotope_of(cyclic_thin(7))
+        monkeypatch.setattr(chirotope, "_cyclic_before", counted)
+        assert is_k_chirotope(chi, 5)
+        assert len(calls) <= 10_000
 
     def test_enumerated_arrangements_are_k_chirotopes(self):
         for arr in (cyclic_thin(4), cyclic_thin(5),
@@ -403,6 +420,56 @@ class TestAxiomCheck:
                     assert chi != chirotope_of(cyclic_thin(n))
                     assert reconstruct(chi).key() == arr.key(), (n, step)
                     assert is_k_chirotope(chi, 5), (n, step)
+
+
+def flip_walk(n, steps, rng):
+    arr = cyclic_thin(n)
+    for _ in range(steps):
+        arr = apply_move(arr, MutationMove(
+            "flip", *rng.choice(triangles(arr))))
+    return arr
+
+
+def perturbed(chi, count, rng):
+    """``chi`` with ``count`` triple entries replaced by random versions
+    of random classes."""
+    triples = {J: chi.entry_arrangement(J)
+               for J in combinations(chi.indices, 3)}
+    for J in rng.sample(sorted(triples), count):
+        images = [x * rng.choice((1, -1)) for x in rng.sample(J, 3)]
+        triples[J] = class_version(rng.choice(catalog.THIRTEEN), images)
+    return Chirotope(triples)
+
+
+class TestMainTheorem:
+    def test_five_subsets_decide(self):
+        """A map on triples of six or seven indices is the chirotope of a
+        genus-one arrangement iff its restriction to every 5-subset is,
+        and that arrangement has the map as its chirotope."""
+        rng = random.Random(28)
+        verdicts = set()
+        for n in (6, 7):
+            for _ in range(3):
+                chi = chirotope_of(flip_walk(n, 2 * n, rng))
+                for case in [chi] + [perturbed(chi, count, rng)
+                                     for count in (1, 2, 1, 2)]:
+                    ok = is_k_chirotope(case, 5)
+                    try:
+                        arr = reconstruct(case)
+                    except DplError:
+                        arr = None
+                    assert ok == (arr is not None), n
+                    if arr is not None:
+                        assert chirotope_of(arr) == case
+                    verdicts.add(ok)
+        assert verdicts == {True, False}
+
+    def test_injective_at_four_and_five(self):
+        rng = random.Random(29)
+        for n in (4, 5):
+            for _ in range(3):
+                arr = flip_walk(n, 2 * n, rng)
+                assert reconstruct(chirotope_of(arr)).key() == arr.key()
 
 
 class TestChirotopeRecheck:

@@ -170,6 +170,17 @@ def test_check_rejects_the_thin_five_chirotope(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("k", ["2", "6", "-1"])
+def test_check_k_outside_three_to_n_is_a_usage_error(capsys, k):
+    from importlib import resources
+    path = resources.files("dpl").joinpath("catalog_data", "allC04_n5.chi")
+    code, out = run(capsys, "check", str(path), "--k", k)
+    assert code == 2
+    data = json.loads(out)
+    assert data["code"] == "usage"
+    assert "between 3 and 5" in data["message"]
+
+
 def test_enumerate_projective(capsys):
     code, out = run(capsys, "enumerate", "--n", "3", "--setting", "projective")
     assert code == 0
