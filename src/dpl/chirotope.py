@@ -449,7 +449,8 @@ def reconstruct(chi, genus_one=True, all_solutions=False):
         if genus_one:
             sols = [a for a in sols if a.genus == 1]
     elif n == 4:
-        sols = extensions4(chi, genus_one=genus_one)
+        # a copy, so that no caller can change the shared store
+        sols = list(chi._extensions_on(chi.indices, genus_one))
     else:
         sols = _reconstruct_big(chi, genus_one=genus_one)
     if not sols:

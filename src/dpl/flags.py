@@ -57,8 +57,9 @@ def flag_id(start, i, p, eps, side):
 def flag_of(indices, start, f):
     """``(i, p, eps, side)`` of flag ``f``; the inverse of :func:`flag_id`."""
     k, low = divmod(f, 4)
-    i = next(i for i in reversed(indices) if k >= start[i])
-    return (i, k - start[i]) + _EPS_SIDE[low]
+    for i in reversed(indices):
+        if k >= start[i]:
+            return (i, k - start[i]) + _EPS_SIDE[low]
 
 
 def crossing_positions(indices, pairs):

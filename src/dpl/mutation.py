@@ -715,10 +715,11 @@ def _marked_face(indices, pairs, desc):
     the disk cycles, as :func:`_pair_rows` gives them.
 
     A flag is walked as (curve, position, low bits of its flag number),
-    alternating sigma0 and sigma1 as :func:`flags.face_orbits` does."""
-    pos = crossing_positions(indices, pairs)
+    alternating sigma0 and sigma1 as :func:`flags.face_orbits` does; the
+    position of a crossing on the next curve is read off that curve's row
+    of ``pairs``."""
     i, (pair,), eps, side = desc
-    p = p0 = pos[pair][i]
+    p = p0 = pairs[i].index(pair)
     i0 = i
     low = low0 = _LOW[(eps, side)]
     out = []
@@ -731,7 +732,7 @@ def _marked_face(indices, pairs, desc):
         pair = row[p]
         out.append((i, (pair,)) + _EPS_SIDE[low])
         i, x = _crossing_bits(pair, i)
-        p = pos[pair][i]
+        p = pairs[i].index(pair)
         low = x ^ _SIG1_XOR[low]
         if p == p0 and i == i0 and low == low0:
             return frozenset(out)
@@ -780,10 +781,12 @@ def moebius_states(n, limit=None, progress=None):
 # family, the class key is the minimum over P of (acted cycles, least
 # transported descriptor of x's tags and of their tau-images).
 #
-# Only phase a keys states one by one, under the even reorientations E.
-# The groups of b (reindexings times E) and c (all signed permutations) are
-# unions of cosets of E, and E is normal, so the minimum over the coset of
-# g is the a-key of g.x.  The b-key of g.x is the least of these minima
+# Only phase a keys states one by one, under the even reorientations E,
+# and the walk has already keyed each state so; phase a keys again only a
+# state whose family an odd pure sign change fixes.  The groups of b
+# (reindexings times E) and c (all signed permutations) are unions of
+# cosets of E, and E is normal, so the minimum over the coset of g is the
+# a-key of g.x.  The b-key of g.x is the least of these minima
 # over the representatives of g's parity, and its c-key the least of all;
 # so keying x once per coset labels every a-class of its orbit
 # (orbit-wise generation, McKay 1998).
@@ -876,32 +879,39 @@ def _canonical_marked(packed, tags, actions):
     return tuple(map(W.unpack, best[0])), best[1]
 
 
-def _odd_images(packed, tags, odd_pure):
-    """``tags`` and their images under the first member of the compiled
-    ``odd_pure`` that fixes the family of the :func:`_packed` cycles, if
-    one does."""
+def _odd_fixer(packed, odd_pure):
+    """The first member of the compiled ``odd_pure`` that fixes the family
+    of the :func:`_packed` cycles, or None."""
     family = [W.least_rotation(doubled, n) for n, doubled, _ in packed]
     for tau in odd_pure:
         if all(a == b for a, b in zip(tau.cycles(packed), family)):
-            return tags | set(map(tau.transport, tags))
-    return tags
+            return tau
+    return None
 
 
 def _phase_keys(indices, states, marked, phases="abc", progress=None):
     """The a-, b- and c-keys of the census quotient, in one pass: a dict
     per phase named in ``phases``, a prefix of ``"abc"``.
 
-    ``marked(state)`` gives a state's cycles and marked descriptor set;
-    the cycles are packed once per state, and :func:`_odd_images` joins
-    the tags once per state.  Phase a keys every state, b gives a key to
-    the state that opens each a-class, when it opens it, and c to the
-    state that opens each b-class; so each dict lists its states in the
-    order of the walk.  The b- and c-keys are read off labels: a state
-    that opens an a-class with no label yet is keyed once per coset of
-    the even reorientations, which labels every a-class of its orbit.
-    The d-key of a class is the cycles part of its c-key.  With
-    ``progress`` it writes a line to stderr every ``progress`` states,
-    and each phase line once the phase's number of states is known.
+    ``states`` must be keyed as the crosscap walks key them: each state
+    under its least (acted cycles, transported tag) over the even
+    reorientations, :func:`_canonical_marked` of its marked cell.  That
+    is its a-key unless an odd pure sign change fixes its family, and the
+    evens are pure sign changes too, so they commute with such a fixer
+    and the fixer test runs on the key's own cycles.  ``marked(state)``
+    gives a state's cycles and marked descriptor set; it is read, and
+    the state keyed, only when the state has a fixer, whose images then
+    join its tags, or when it opens an a-class with no label yet.
+
+    Phase a gives every state a key, b gives one to the state that opens
+    each a-class, when it opens it, and c to the state that opens each
+    b-class; so each dict lists its states in the order of the walk.  The
+    b- and c-keys are read off labels: a state that opens an a-class with
+    no label yet is keyed once per coset of the even reorientations,
+    which labels every a-class of its orbit.  The d-key of a class is the
+    cycles part of its c-key.  With ``progress`` it writes a line to
+    stderr every ``progress`` states, and each phase line once the
+    phase's number of states is known.
     """
     a, b, c = ({} if phase in phases else None for phase in "abc")
     evens, reps = _even_cosets(indices)
@@ -915,18 +925,32 @@ def _phase_keys(indices, states, marked, phases="abc", progress=None):
     evens = _group_actions(indices, evens)
     labels = {}     # a-key -> (b-key, c-key) of the a-classes not yet opened
     opened_a, opened_b = set(), set()
+
+    def read(state, tau):
+        """A state's packed cycles and its tags, joined with their images
+        under the fixer ``tau``, if there is one."""
+        cycles, tags = marked(state)
+        if tau is not None:
+            tags = tags | set(map(tau.transport, tags))
+        return _packed(cycles), tags
+
     if progress:
         print("phase a over %d states" % len(states),
               file=sys.stderr, flush=True)
     for t, key in enumerate(states):
-        cycles, tags = marked(states[key])
-        packed = _packed(cycles)
-        tags = _odd_images(packed, tags, odd_pure)
-        ak = a[key] = _canonical_marked(packed, tags, evens)
+        tau = _odd_fixer(_packed(key[0]), odd_pure)
+        if tau is None:
+            ak = key
+        else:
+            packed, tags = read(states[key], tau)
+            ak = _canonical_marked(packed, tags, evens)
+        a[key] = ak
         if b is not None and ak not in opened_a:
             opened_a.add(ak)
             label = labels.pop(ak, None)
             if label is None:
+                if tau is None:
+                    packed, tags = read(states[key], None)
                 keys = [ak] + [_canonical_marked(packed, tags, coset)
                                for coset in cosets]
                 halves = min(keys[0::2]), min(keys[1::2])

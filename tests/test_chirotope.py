@@ -396,6 +396,36 @@ class TestAxiomCheck:
         assert is_k_chirotope(chirotope_of(cyclic_thin(6)), 5)
         assert sorted(extended) == list(combinations(range(1, 7), 4))
 
+    def test_four_subset_check_reads_the_store(self, monkeypatch):
+        """After the 5-subset check, the 4-subset check of the same
+        chirotope reconstructs each 4-subset from the extensions already
+        stored, and no verdict changes; a caller that changes the list
+        ``reconstruct`` returns leaves the store as it was."""
+        ct6 = chirotope_of(cyclic_thin(6))
+        fresh = {k: is_k_chirotope(chirotope_of(cyclic_thin(6)), k)
+                 for k in (4, 5)}
+        quads = list(combinations(ct6.indices, 4))
+        keys = {J: reconstruct(chirotope_of(cyclic_thin(6)).restriction(J),
+                               all_solutions=True)[0].key() for J in quads}
+        extended = []
+        plain = chirotope.extensions4
+
+        def counted(chi, genus_one=True):
+            extended.append(chi.indices)
+            return plain(chi, genus_one=genus_one)
+
+        monkeypatch.setattr(chirotope, "extensions4", counted)
+        assert is_k_chirotope(ct6, 5) == fresh[5] is True
+        assert sorted(extended) == quads
+        del extended[:]
+        assert is_k_chirotope(ct6, 4) == fresh[4] is True
+        for J in quads:
+            sols = reconstruct(ct6.restriction(J), all_solutions=True)
+            assert [arr.key() for arr in sols] == [keys[J]]
+            sols.clear()
+            assert reconstruct(ct6.restriction(J)).key() == keys[J]
+        assert extended == []
+
     def test_one_validation_per_triple(self, monkeypatch):
         """Building the chirotope validates each triple once, through the
         arrangement's restriction; the 5-subset check validates none."""
@@ -463,6 +493,16 @@ class TestMainTheorem:
                         assert chirotope_of(arr) == case
                     verdicts.add(ok)
         assert verdicts == {True, False}
+
+    def test_five_subsets_are_needed(self):
+        """On every eighth C04 mask of ``c04_versions_on_five``, every map
+        passes the 4-subset check and 80 of the 128 fail the 5-subset
+        check: the 4-subsets do not decide."""
+        verdicts = [(is_k_chirotope(chi, 4), is_k_chirotope(chi, 5))
+                    for chi in map(c04_versions_on_five, range(0, 1024, 8))]
+        assert verdicts.count((True, True)) == 48
+        assert verdicts.count((True, False)) == 80
+        assert all(four for four, _ in verdicts)
 
     def test_injective_at_four_and_five(self):
         rng = random.Random(29)

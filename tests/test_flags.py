@@ -183,6 +183,30 @@ class TestFlagTable:
                 assert cx.fid[cx.flags[f]] == f
 
 
+class TestFlagOf:
+    def test_inverts_flag_id(self):
+        """``flag_of`` reads back the curve, position, orientation and
+        side of every flag of the 22 catalog complexes, their merges and
+        the 531 states of the heavy crosscap walk at n=3."""
+        arrs = [fx.arrangement for fx in catalog.all()]
+        assert len(arrs) == 22
+        arrs += merged_fixtures()
+        heavy = moebius_full_census(3)[1]
+        assert len(heavy) == 531
+        arrs += [arr for arr, _ in heavy.values()]
+        for arr in arrs:
+            cx = arr.complex
+            f = 0
+            for i in cx.indices:
+                for p in range(len(cx.node_cycles[i])):
+                    for eps, side in _EPS_SIDE:
+                        assert flags.flag_id(cx.start, i, p, eps, side) == f
+                        assert (flags.flag_of(cx.indices, cx.start, f)
+                                == (i, p, eps, side))
+                        f += 1
+            assert f == len(cx.sigma0)
+
+
 class TestBuildChecks:
     """The two checks of a build still fire, as :class:`BrokenInvariant`,
     also under ``python -O``."""

@@ -20,7 +20,7 @@ from dpl.mutation import (
     _marked_face,
     _marked_flips,
     _marked_seeds,
-    _odd_images,
+    _odd_fixer,
     _packed,
     _pair_rows,
     _phase_keys,
@@ -334,10 +334,10 @@ def reference_heavy_classes(heavy, group, odd_pure):
 
 
 @pytest.fixture(scope="module")
-def lifted():
+def lifted_all():
     """The marked simple states of ``moebius_simple_census(3)`` as heavy
     states: validated arrangements with the descriptors of the marked
-    cell."""
+    cell, all 472, each keyed by its arrangement key and least tag."""
     indices, states = moebius_simple_census(3)
     heavy = {}
     for words, desc in states.values():
@@ -345,6 +345,22 @@ def lifted():
         cx = arr.complex
         tags = cx.face_descriptors(cx.face_of[cx.flag_from_descriptor(desc)])
         heavy[(arr.key(), min(tags))] = (arr, tags)
+    return indices, states, heavy
+
+
+@pytest.fixture(scope="module")
+def lifted(lifted_all):
+    """The lifted states as the heavy walk keys them, which
+    :func:`_phase_keys` needs: the first of each orbit of the even
+    reorientations, under its least (acted cycles, transported tag) over
+    them; 118 of the 472."""
+    indices, states, every = lifted_all
+    evens = _group_actions(indices, _even_cosets(indices)[0])
+    heavy = {}
+    for state in every.values():
+        cycles, tags = _heavy_marked(state)
+        heavy.setdefault(_canonical_marked(_packed(cycles), tags, evens),
+                         state)
     return indices, states, heavy
 
 
@@ -382,10 +398,14 @@ def phase_counts(indices, states, marked):
 
 
 def _class_key(cycles, tags, actions, odd_pure):
-    """Key of a marked state's class, as :func:`_phase_keys` composes it."""
+    """Key of a marked state's class, read off the state alone: its tags
+    joined with their images under an odd pure sign change that fixes its
+    family, if one does, keyed over ``actions``."""
     packed = _packed(cycles)
-    return _canonical_marked(packed, _odd_images(packed, tags, odd_pure),
-                             actions)
+    tau = _odd_fixer(packed, odd_pure)
+    if tau is not None:
+        tags = tags | set(map(tau.transport, tags))
+    return _canonical_marked(packed, tags, actions)
 
 
 def reference_phase_keys(indices, states, marked):
@@ -443,19 +463,22 @@ class TestSinglePassQuotient:
 
     def test_lifted_heavy_states(self, lifted, capsys):
         indices, _, heavy = lifted
-        assert self.check(indices, heavy, _heavy_marked) == [472, 118, 22]
+        assert self.check(indices, heavy, _heavy_marked) == [118, 118, 22]
         capsys.readouterr()
         _phase_keys(indices, heavy, _heavy_marked, progress=1000)
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == [
-            "phase a over 472 states", "phase b over 118 states",
+            "phase a over 118 states", "phase b over 118 states",
             "phase c over 22 states"]
 
     def test_each_state_read_once(self, lifted, monkeypatch):
-        """Each state is read and keyed once in phase a, and the first
-        state of each of the 16 orbits once more per coset of the evens
-        after the first, 11 at n=3; the quotient of the crosscap
-        chirotope counts keys phase a only."""
+        """Phase a reads and keys only the 12 of the 118 walk-keyed states
+        whose family an odd pure sign change fixes, and reads the key of
+        the others; the whole pass reads at most once each of those and
+        the 13 other states that open one of the 16 orbits, and keys the
+        opening states once more per coset of the evens after the first,
+        11 at n=3.  The quotient of the crosscap chirotope counts keys
+        phase a only."""
         indices, _, heavy = lifted
         reads = []
 
@@ -472,11 +495,13 @@ class TestSinglePassQuotient:
 
         monkeypatch.setattr(mutation, "_canonical_marked", counted)
         _phase_keys(indices, heavy, marked, "a")
-        assert len(reads) == len(keyed) == len(heavy)
+        assert len(reads) == len(keyed) == 12
+        fixed = [id(state) for state in reads]
         del reads[:], keyed[:]
         _phase_keys(indices, heavy, marked)
-        assert len(reads) == len(heavy)
-        assert len(keyed) == 472 + 176 == 472 + 16 * 11
+        assert len(reads) == len({id(state) for state in reads}) == 12 + 13
+        assert set(fixed) <= {id(state) for state in reads}
+        assert len(keyed) == 12 + 176 == 12 + 16 * 11
 
         phases = []
         phase_keys = mutation._phase_keys
@@ -492,10 +517,12 @@ class TestSinglePassQuotient:
         assert phases == [1]
 
     def test_orbits_key_each_coset_over_the_evens(self, lifted, monkeypatch):
-        """Every keying runs over the 4 even reorientations: once per state
-        in phase a, and once per coset after the first for the state that
-        opens each of the 16 orbits, which covers the 48 members of the
-        signed group."""
+        """Every keying runs over the 4 even reorientations: in phase a
+        once for each of the 12 states with an odd fixer, and once per
+        coset after the first for the state that opens each of the 16
+        orbits.  The cosets after the first cover the 44 members of the
+        signed group outside the evens, and the walk key or the phase-a
+        keying of the opening state covers the evens."""
         indices, _, heavy = lifted
         keyed = []
         canonical = mutation._canonical_marked
@@ -507,7 +534,7 @@ class TestSinglePassQuotient:
         monkeypatch.setattr(mutation, "_canonical_marked", spy)
         _phase_keys(indices, heavy, _heavy_marked)
         assert {len(actions) for _, actions in keyed} == {4}
-        assert len(keyed) == 648
+        assert len(keyed) == 188
         # a state's keyings are consecutive and share its packed cycles
         runs = []
         for k, (packed, actions) in enumerate(keyed):
@@ -515,13 +542,41 @@ class TestSinglePassQuotient:
                 runs[-1].append(actions)
             else:
                 runs.append([actions])
-        assert len(runs) == 472
-        assert sorted({len(run) for run in runs}) == [1, 12]
-        orbits = [run for run in runs if len(run) == 12]
+        assert len(runs) == 25
+        assert sorted({len(run) for run in runs}) == [1, 11, 12]
+        orbits = [run[-11:] for run in runs if len(run) > 1]
         assert len(orbits) == 16
         # a member's translation table tells it apart
         assert all(len({act.table for actions in run for act in actions})
-                   == 48 for run in orbits)
+                   == 44 for run in orbits)
+        assert sum(len(run) == 12 for run in runs) == 3
+
+    def test_phase_a_reads_the_walk_key(self, lifted_all, lifted):
+        """The full phase-a keying of a state, which joins its tags with
+        their images under an odd fixer, is the a-key that the pass gives
+        the state's orbit representative: on all 472 lifted states and on
+        the 531 states of the heavy walk.  Without a fixer it is the walk
+        key itself."""
+        indices, _, every = lifted_all
+        actions = {name: _group_actions(indices, group)
+                   for name, group in census_groups(indices).items()}
+        _, heavy = moebius_full_census(3)
+        fixed = 0
+        for states, reps in ((every, lifted[2]), (heavy, heavy)):
+            a, = _phase_keys(indices, reps, _heavy_marked, "a")
+            for state in states.values():
+                cycles, tags = _heavy_marked(state)
+                packed = _packed(cycles)
+                walk_key = _canonical_marked(packed, tags, actions["evens"])
+                full = _class_key(cycles, tags, actions["evens"],
+                                  actions["odd_pure"])
+                assert full == a[walk_key]
+                if _odd_fixer(packed, actions["odd_pure"]) is None:
+                    assert full == walk_key
+                else:
+                    fixed += 1
+        assert len(every) == 472 and len(heavy) == 531
+        assert fixed > 0
 
 
 class TestMoebiusCensus:
@@ -561,18 +616,54 @@ class TestMoebiusCensus:
         assert slow_row == (row["a"], row["b"], row["c"], row["d"]) \
             == (118, 22, 16, 12)
 
-    def test_heavy_quotient_matches_union_find(self, lifted):
-        """The quotient on heavy states, lifted from the 472 simple ones,
-        against the whole-group union-find on the same states."""
-        indices, states, heavy = lifted
-        assert len(heavy) == len(states) == 472
+    def test_face_walk_matches_the_face_orbits(self):
+        """The face walk, which reads each crossing's position off the
+        pair rows, gives the descriptors of the face of every flag of
+        the 118 states of the orbit walk."""
+        indices, states = moebius_states(3)
+        assert len(states) == 118
+        for words, _ in states.values():
+            st = SimpleState(indices, words)
+            for f in range(len(st.s0)):
+                assert (_marked_face(indices, st.pairs, st.descriptor(f))
+                        == st.face_descriptors(st.face_of[f]))
+
+    def test_census_work_counts(self, monkeypatch):
+        """What one ``moebius_census(3)`` costs: keyings, face walks and
+        crossing-position maps, which only the state builds make."""
+        calls = dict.fromkeys(
+            ("_canonical_marked", "_marked_face", "crossing_positions"), 0)
+
+        def counted(name):
+            plain = getattr(mutation, name)
+
+            def call(*args):
+                calls[name] += 1
+                return plain(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(mutation, name, counted(name))
+        row = moebius_census(3)
+        assert (row["a"], row["b"], row["c"], row["d"]) == (118, 22, 16, 12)
+        assert calls["_canonical_marked"] <= 384
+        assert calls["_marked_face"] <= 505
+        assert calls["crossing_positions"] <= 130
+
+    def test_heavy_quotient_matches_union_find(self, lifted_all, lifted):
+        """The quotient on heavy states, lifted from the 472 simple ones
+        and keyed as the walk keys them, against the whole-group
+        union-find on all 472."""
+        indices, states, every = lifted_all
+        heavy = lifted[2]
+        assert len(every) == len(states) == 472 and len(heavy) == 118
         g = census_groups(indices)
         assert phase_counts(indices, heavy, _heavy_marked) \
             == (118, 22, 16, 12)
-        assert (reference_heavy_classes(heavy, g["evens"], g["odd_pure"]),
-                reference_heavy_classes(heavy, g["perm_evens"],
+        assert (reference_heavy_classes(every, g["evens"], g["odd_pure"]),
+                reference_heavy_classes(every, g["perm_evens"],
                                         g["odd_pure"]),
-                reference_heavy_classes(heavy, g["full"], [])) \
+                reference_heavy_classes(every, g["full"], [])) \
             == (118, 22, 16)
 
 
@@ -630,10 +721,10 @@ class TestClassKeyInvariance:
                   for words, desc in (states[k] for k in sample)]
         self.check(indices, picked, act)
 
-    def test_heavy_states(self, lifted):
+    def test_heavy_states(self, lifted_all):
         """Lifted states, and non-simple ones: every admissible cell of
         every merge of a flip-walk state."""
-        indices, _, heavy = lifted
+        indices, _, heavy = lifted_all
         rng = random.Random(6)
         arrs = [heavy[k][0] for k in rng.sample(sorted(heavy), 8)]
         picked = [_heavy_marked(heavy[k]) for k in rng.sample(sorted(heavy), 30)]
@@ -802,10 +893,10 @@ class TestOrbitWalk:
                 assert marked_descriptors(indices, nw, min(ntags)) == ntags
                 assert simple_orbit_keys(indices, actions, nw, ntags) == want
 
-    def test_heavy_steps_are_equivariant(self, lifted):
+    def test_heavy_steps_are_equivariant(self, lifted_all):
         """The same for merges and splits, on lifted simple states and on
         every admissible cell of a merge of each."""
-        indices, _, heavy = lifted
+        indices, _, heavy = lifted_all
         evens = _even_cosets(indices)[0]
         actions = _group_actions(indices, evens)
         rng = random.Random(13)
@@ -863,10 +954,10 @@ class TestGroupActions:
             assert _canonical_marked(_packed(cycles), tags, actions) \
                 == brute_marked_key(indices, cycles, tags, group)
 
-    def test_census_groups_on_three_curves(self, lifted):
+    def test_census_groups_on_three_curves(self, lifted_all):
         """Every member of every census group, on simple states and on
         lifted and non-simple heavy ones."""
-        indices, states, heavy = lifted
+        indices, states, heavy = lifted_all
         rng = random.Random(21)
         picked = [(words, marked_descriptors(indices, words, desc))
                   for words, desc in (states[k]
