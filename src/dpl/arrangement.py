@@ -263,21 +263,28 @@ class Arrangement:
     def act(self, sigma):
         """Relabeled/reoriented version: curve at new index k is old curve
         ``sigma(k)``, reversed when the image is negative."""
-        idx = self.indices
-        disk, cross = self._acted_families(sigma)
-        return validate(dict(zip(idx, disk)), dict(zip(idx, cross)))
+        return validate(*self.substituted(sigma.inverse().images))
 
     def acted_key(self, sigma):
         """``self.act(sigma).key()`` without validating the acted families."""
-        return (self.indices,) + tuple(
-            tuple(W.min_rotation(w) for w in words)
-            for words in self._acted_families(sigma))
+        return family_key(self.indices,
+                          *self.substituted(sigma.inverse().images))
 
-    def _acted_families(self, sigma):
-        """The disk and crosscap words of :meth:`act`, in index order."""
-        idx = self.indices
-        return (act_words(sigma, idx, tuple(self.disk[i] for i in idx)),
-                act_words(sigma, idx, tuple(self.crosscap[i] for i in idx)))
+    def substituted(self, sub):
+        """The side cycles with each index ``r`` substituted by ``sub[r]``,
+        as disk and crosscap dicts, not validated; a negative image
+        reorients the curve."""
+        def letter(x):
+            return sub[x] if x > 0 else -sub[-x]
+
+        disk, cross = {}, {}
+        for r, t in sub.items():
+            d, m = self.disk[r], self.crosscap[r]
+            if t < 0:
+                d, m = d[::-1], m[::-1]
+            disk[abs(t)] = tuple(map(letter, d))
+            cross[abs(t)] = tuple(map(letter, m))
+        return disk, cross
 
     def restriction(self, J):
         J = frozenset(J)

@@ -43,23 +43,6 @@ def _reference(name):
     return ref
 
 
-def _substituted(arr, sub):
-    """The side cycles of ``arr`` with each index ``r`` substituted by
-    ``sub[r]``, as disk and crosscap dicts; a negative image reorients the
-    curve."""
-    def letter(x):
-        return sub[x] if x > 0 else -sub[-x]
-
-    disk, cross = {}, {}
-    for r, t in sub.items():
-        d, m = arr.disk[r], arr.crosscap[r]
-        if t < 0:
-            d, m = d[::-1], m[::-1]
-        disk[abs(t)] = tuple(letter(x) for x in d)
-        cross[abs(t)] = tuple(letter(x) for x in m)
-    return disk, cross
-
-
 @cache
 def _name_table():
     """Canonical words on (1,2,3) -> (class name, signed images)."""
@@ -68,7 +51,7 @@ def _name_table():
         ref = _reference(name)
         for sigma in W.signed_permutations((1, 2, 3)):
             images = tuple(sigma.images[r] for r in (1, 2, 3))
-            key = family_key((1, 2, 3), *_substituted(ref, sigma.images))
+            key = family_key((1, 2, 3), *ref.substituted(sigma.images))
             prev = table.get(key)
             if prev is None or (prev[0] == name and images < prev[1]):
                 table[key] = (name, images)
@@ -88,7 +71,7 @@ def class_version(name, images):
     if len(images) != 3 or len({abs(t) for t in images}) != 3 or 0 in images:
         raise FormatError("class %s needs three distinct nonzero images, "
                           "got %r" % (name, tuple(images)))
-    disk, cross = _substituted(_reference(name), dict(zip((1, 2, 3), images)))
+    disk, cross = _reference(name).substituted(dict(zip((1, 2, 3), images)))
     return validate({i: W.min_rotation(w) for i, w in disk.items()}, cross)
 
 
@@ -104,7 +87,7 @@ def entry_name(arr):
     """
     i, j, k = arr.indices
     hit = _name_table().get(
-        family_key((1, 2, 3), *_substituted(arr, {i: 1, j: 2, k: 3})))
+        family_key((1, 2, 3), *arr.substituted({i: 1, j: 2, k: 3})))
     if hit is None:
         return None
     name, images = hit

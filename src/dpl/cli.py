@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import catalog as _catalog
-from .arrangement import from_disk_only, parse_text, validate
+from .arrangement import family_key, from_disk_only, parse_text, validate
 from .chirotope import (
     chirotope_of,
     chirotope_text,
@@ -94,6 +94,13 @@ def cmd_stats(args):
     return 0
 
 
+def _marked_key(arr, mark):
+    """The arrangement's key and the least descriptor of the face at the
+    ``(curve, arc, side)`` of its 'mark:' line."""
+    cx = arr.complex
+    return arr.key(), min(cx.face_descriptors(cx.face_at(*mark)))
+
+
 def cmd_iso(args):
     a, ma = _load_arrangement(args.a)
     b, mb = _load_arrangement(args.b)
@@ -108,11 +115,7 @@ def cmd_iso(args):
                               "message": "--marked needs 'mark:' lines in "
                                          "both files"}))
             return 2
-        ka = a.complex.canonical_key("marked",
-                                     marked_face=a.complex.face_at(*ma))
-        kb = b.complex.canonical_key("marked",
-                                     marked_face=b.complex.face_at(*mb))
-        verdict = ka == kb
+        verdict = _marked_key(a, ma) == _marked_key(b, mb)
         _print({"isomorphic": verdict, "mode": "indexed+oriented+marked"})
         return 0 if verdict else 1
     if args.indexed and args.oriented:
@@ -124,13 +127,14 @@ def cmd_iso(args):
         else:
             perms = [tuple(a.indices)] if args.indexed else None
             signs = [tuple(1 for _ in a.indices)] if args.oriented else None
-            kb = b.key()
+            # curve names do not count: B's curves take A's names in order
+            kb = b.key() if args.indexed else family_key(
+                a.indices, *b.substituted(dict(zip(b.indices, a.indices))))
             verdict = any(a.acted_key(s) == kb for s in
                           signed_permutations(a.indices, perms, signs))
             mode = "indexed" if args.indexed else "oriented"
     else:
-        verdict = (a.complex.canonical_key("plain")
-                   == b.complex.canonical_key("plain"))
+        verdict = a.complex.canonical_key() == b.complex.canonical_key()
         mode = "plain"
     _print({"isomorphic": verdict, "mode": mode})
     return 0 if verdict else 1

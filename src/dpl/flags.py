@@ -13,7 +13,6 @@ from collections import Counter, deque
 from functools import cached_property
 
 from . import words as W
-from .arrangement import family_key
 from .errors import BrokenInvariant, GenusNotOne, MalformedWord, UnknownIndex
 
 # (orientation, side) of the flags at one position, in flag-number order
@@ -283,7 +282,6 @@ class FlagComplex:
         self.indices = arr.indices
         self.node_cycles = arr.node_cycles
         self.nodes = arr.nodes      # node -> {curve: position on it}
-        self.disk, self.crosscap = arr.disk, arr.crosscap
         self.vertex_count = len(arr.nodes)
 
         # crossing pair per block, None if multiple
@@ -453,20 +451,11 @@ class FlagComplex:
                         best = None
         return tuple(enc)
 
-    def canonical_key(self, mode="plain", marked_face=None):
-        """Canonical byte string; equal keys iff isomorphic in the mode."""
-        if mode == "plain":
-            return self._plain()
-        if mode == "marked":
-            if marked_face is None:
-                raise ValueError("marked mode needs a face index")
-            key = family_key(self.indices, self.disk, self.crosscap)
-            tag = min(self.face_descriptors(marked_face))
-            return repr((key, tag)).encode()
-        raise ValueError("unknown mode %r" % mode)
+    def canonical_key(self):
+        """The plain key: a canonical byte string, equal for two complexes
+        iff their flag graphs are isomorphic.
 
-    def _plain(self):
-        """The least BFS encoding over the start flags, one start per
+        It is the least BFS encoding over the start flags, one start per
         automorphism orbit.
 
         Two starts with equal encodings differ by the automorphism that
@@ -539,7 +528,7 @@ class FlagComplex:
 
     def flag_graph_automorphism_order(self):
         """Order of the automorphism group of the edge-colored flag graph."""
-        self._plain()
+        self.canonical_key()
         return len(self._aut_starts)
 
     def flag_graph_automorphisms(self):
@@ -550,7 +539,7 @@ class FlagComplex:
         of the first of them under the automorphisms (B. D. McKay,
         "Practical graph isomorphism", 1981).
         """
-        self._plain()
+        self.canonical_key()
         first = self._aut_starts[0]
         return [self._flag_map(first, start) for start in self._aut_starts]
 

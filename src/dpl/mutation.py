@@ -215,17 +215,13 @@ def _thin_words(n):
 # projective flip enumeration
 
 
-def projective_census(n, limit=None, seed_all_versions=False):
+def projective_census(n, limit=None):
     """Flip-BFS over simple indexed-oriented states from the thin cyclic seed.
 
     Returns the discovered indexed classes (key -> word family), the flip
     adjacency between keys, and the grouping into plain isomorphism classes.
     """
     indices, base = _thin_words(n)
-    seeds = [base]
-    if seed_all_versions:
-        seeds = (act_words(s, indices, base)
-                 for s in W.signed_permutations(indices))
     edges = set()
 
     def neighbours(key, words):
@@ -235,8 +231,7 @@ def projective_census(n, limit=None, seed_all_versions=False):
             edges.add((min(key, nk), max(key, nk)))
             yield nk, nw
 
-    visited = _walk(((_words_key(w), w) for w in seeds), neighbours,
-                    limit, None)
+    visited = _walk([(_words_key(base), base)], neighbours, limit, None)
     # A signed relabeling is an isomorphism of the flag graph, so the plain
     # key is computed once per orbit and given to all its states, by their
     # packed keys.
@@ -247,7 +242,7 @@ def projective_census(n, limit=None, seed_all_versions=False):
         packed = tuple(map(W.pack, key))
         if packed not in label:
             arr = from_disk_only(dict(zip(indices, w)))
-            pk = arr.complex.canonical_key("plain")
+            pk = arr.complex.canonical_key()
             cycles = _packed(w)
             for act in group:
                 label[tuple(act.cycles(cycles))] = pk
@@ -355,7 +350,7 @@ def _marked_flips(indices, words, desc):
                    _survivor(marked_descs, corners))
 
 
-def moebius_simple_census(n, limit=None, progress=None):
+def moebius_simple_census(n, limit=None):
     """BFS over marked simple states; returns (indices, key -> state).
 
     States are pairs (word family, flag descriptor of the marked cell);
@@ -374,7 +369,7 @@ def moebius_simple_census(n, limit=None, progress=None):
 
     seeds = (((_words_key(w), min(tags)), (w, min(tags))) for w, tags
              in _marked_seeds(indices, base, W.signed_permutations(indices)))
-    return indices, _walk(seeds, neighbours, limit, progress)
+    return indices, _walk(seeds, neighbours, limit, None)
 
 
 # ---------------------------------------------------------------------------
@@ -889,9 +884,9 @@ def _odd_fixer(packed, odd_pure):
     return None
 
 
-def _phase_keys(indices, states, marked, phases="abc", progress=None):
-    """The a-, b- and c-keys of the census quotient, in one pass: a dict
-    per phase named in ``phases``, a prefix of ``"abc"``.
+def _phase_keys(indices, states, marked, progress=None):
+    """The a-, b- and c-keys of the census quotient: three dicts, made in
+    one pass.
 
     ``states`` must be keyed as the crosscap walks key them: each state
     under its least (acted cycles, transported tag) over the even
@@ -913,7 +908,7 @@ def _phase_keys(indices, states, marked, phases="abc", progress=None):
     stderr every ``progress`` states, and each phase line once the
     phase's number of states is known.
     """
-    a, b, c = ({} if phase in phases else None for phase in "abc")
+    a, b, c = {}, {}, {}
     evens, reps = _even_cosets(indices)
     odd_pure = _group_actions(indices, [
         tau for tau in W.signed_permutations(indices, [tuple(indices)])
@@ -945,7 +940,7 @@ def _phase_keys(indices, states, marked, phases="abc", progress=None):
             packed, tags = read(states[key], tau)
             ak = _canonical_marked(packed, tags, evens)
         a[key] = ak
-        if b is not None and ak not in opened_a:
+        if ak not in opened_a:
             opened_a.add(ak)
             label = labels.pop(ak, None)
             if label is None:
@@ -959,18 +954,17 @@ def _phase_keys(indices, states, marked, phases="abc", progress=None):
                 label = labels.pop(ak)
             bk, ck = label
             b[key] = bk
-            if c is not None and bk not in opened_b:
+            if bk not in opened_b:
                 opened_b.add(bk)
                 c[key] = ck
         if progress and t and t % progress == 0:
             print("  a %d/%d" % (t, len(states)),
                   file=sys.stderr, flush=True)
-    outs = [d for d in (a, b, c) if d is not None]
     if progress:
-        for phase, out in zip(phases[1:], outs[1:]):
+        for phase, out in (("b", b), ("c", c)):
             print("phase %s over %d states" % (phase, len(out)),
                   file=sys.stderr, flush=True)
-    return outs
+    return a, b, c
 
 
 def _heavy_marked(state):
@@ -1021,7 +1015,7 @@ def moebius_chirotope_counts(n, limit=None):
     On three indices these are the numbers of crosscap chirotopes.
     """
     indices, heavy = moebius_full_census(n, limit=limit)
-    a, = _phase_keys(indices, heavy, _heavy_marked, "a")
+    a, _, _ = _phase_keys(indices, heavy, _heavy_marked)
     return {"n": n, "total": len(set(a.values())),
             "simple": len({ak for key, ak in a.items()
                            if heavy[key][0].is_simple()})}

@@ -173,7 +173,7 @@ def test_criterion_6_higher_genus_fixtures():
 def test_criterion_7_chirotope_theorems():
     t0 = time.time()
     # injectivity over every indexed-oriented class on three indices
-    cen = projective_census(3, seed_all_versions=True)
+    cen = projective_census(3)
     from dpl.arrangement import from_disk_only
     chi_keys = set()
     for key, words in cen["indexed_classes"].items():
@@ -233,7 +233,7 @@ def test_criterion_8_property_suites():
         arr = from_disk_only(dict(zip(cen["indices"], words)))
         if any(arr.is_martagon(i) for i in arr.indices):
             martagons.add(pkey)
-    want = {catalog.arrangement(n).complex.canonical_key("plain")
+    want = {catalog.arrangement(n).complex.canonical_key()
             for n in ("C22", "C32")}
     assert martagons == want
 
@@ -254,7 +254,7 @@ def test_criterion_8_property_suites():
         moves += 1
 
     # act is a group action (on words, against composed permutations)
-    from dpl.mutation import act_words
+    from dpl.mutation import _words_key, act_words
     from dpl.words import SignedPermutation
     idx = (1, 2, 3)
     words = tuple(cyclic_thin(3).disk[i] for i in idx)
@@ -264,10 +264,11 @@ def test_criterion_8_property_suites():
         assert (act_words(s * t, idx, words)
                 == act_words(t, idx, act_words(s, idx, words)))
 
-    # enumeration order independence
-    a = projective_census(3)
-    b = projective_census(3, seed_all_versions=True)
-    assert set(a["indexed_classes"]) == set(b["indexed_classes"])
+    # enumeration order independence: the classes are closed under the
+    # signed relabelings, so a walk from any version of the seed finds them
+    keys = projective_census(3)["indexed_classes"]
+    assert all(_words_key(act_words(s, idx, w)) in keys
+               for w in keys.values() for s in perms)
     verdict("8", True, "pumping, martagon census {C22,C32}, 10^4-move "
                        "merge/split fuzz, group action, order independence")
 

@@ -206,11 +206,11 @@ class TestGenerators:
     def test_cyclic_thin_five(self):
         arr = cyclic_thin(5)
         assert arr.genus == 1 and arr.is_simple() and arr.is_thin()
-        c04 = catalog.arrangement("C04").complex.canonical_key("plain")
+        c04 = catalog.arrangement("C04").complex.canonical_key()
         from itertools import combinations
         for J in combinations(arr.indices, 3):
             sub = arr.restriction(J)
-            assert sub.complex.canonical_key("plain") == c04
+            assert sub.complex.canonical_key() == c04
 
     def test_all_c64_small(self):
         assert all_c64(3).key() == catalog.arrangement("C64").key()

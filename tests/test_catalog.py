@@ -52,7 +52,7 @@ def test_expected_table_is_each_fixtures_own(capsys):
 
 
 def test_thirteen_are_the_projective_classes():
-    keys = {catalog.arrangement(n).complex.canonical_key("plain")
+    keys = {catalog.arrangement(n).complex.canonical_key()
             for n in catalog.THIRTEEN}
     assert len(keys) == 13
 

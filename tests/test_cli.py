@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from dpl import all_c64, cyclic_thin
-from dpl.cli import _parser, main
+from dpl import all_c64, catalog, cyclic_thin, parse_text, validate
+from dpl.arrangement import family_key
+from dpl.chirotope import class_version
+from dpl.cli import _marked_key, _parser, main
 from dpl.mutation import MutationMove, apply_move, triangles
 from dpl.words import SignedPermutation
 
@@ -105,6 +107,32 @@ def test_iso_modes(tmp_path, capsys):
     assert code == 1
     code, out = run(capsys, "iso", "C04", "C04", "--indexed", "--oriented")
     assert code == 0 and json.loads(out)["isomorphic"]
+
+
+def test_iso_oriented_across_index_sets(tmp_path, capsys):
+    """Without --indexed curve names do not count: B's curves take A's
+    names in increasing order, and two index sets of one size can match."""
+    path = tmp_path / "c04.dpl"
+    path.write_text(class_version("C04", (1, 2, 4)).to_text())
+    for flags, want in (((), 0), (("--oriented",), 0), (("--indexed",), 1),
+                        (("--indexed", "--oriented"), 1)):
+        code, _ = run(capsys, "iso", "C04", str(path), *flags)
+        assert code == want, flags
+
+    rng = random.Random(4)
+    arr = cyclic_thin(4)
+    pa, pb = tmp_path / "a.dpl", tmp_path / "b.dpl"
+    for _ in range(10):
+        arr = apply_move(arr, MutationMove("flip",
+                                           *rng.choice(triangles(arr))))
+        moved = arr.act(SignedPermutation(dict(zip(
+            arr.indices, rng.sample(arr.indices, 4)))))
+        renamed = validate(*moved.substituted(dict(zip(moved.indices,
+                                                       (2, 5, 7, 9)))))
+        pa.write_text(arr.to_text())
+        pb.write_text(renamed.to_text())
+        code, out = run(capsys, "iso", str(pa), str(pb), "--oriented")
+        assert code == 0 and json.loads(out)["isomorphic"]
 
 
 def test_chirotope_and_check_and_reconstruct(tmp_path, capsys):
@@ -331,6 +359,67 @@ def test_iso_marked(tmp_path, capsys):
     assert code == 0 and json.loads(out)["isomorphic"]
 
 
+def old_marked_key(arr, face):
+    """The bytes key that ``FlagComplex.canonical_key("marked")`` gave."""
+    cx = arr.complex
+    return repr((family_key(arr.indices, arr.disk, arr.crosscap),
+                 min(cx.face_descriptors(face)))).encode()
+
+
+def rotated(arr, shift):
+    """``arr`` parsed from a text with every side cycle rotated."""
+    lines = ["indices: %s" % " ".join(map(str, arr.indices))]
+    for kind, words in (("D", arr.disk), ("M", arr.crosscap)):
+        for i in arr.indices:
+            w = words[i][shift:] + words[i][:shift]
+            lines.append("%s %d: %s" % (kind, i, " ".join(map(str, w))))
+    return parse_text("\n".join(lines) + "\n")
+
+
+def test_marked_key_matches_the_old_bytes_key():
+    """On every mark of each genus-one fixture and of a copy with rotated
+    side cycles, ``iso --marked`` compares as the old bytes key did: the
+    two keys determine each other, and the copy has the same marked
+    classes."""
+    fixtures = [name for name in catalog.names()
+                if catalog.arrangement(name).genus == 1]
+    assert len(fixtures) >= 13
+    for name in fixtures:
+        arr = catalog.arrangement(name)
+        pairs, classes = set(), []
+        for version in (arr, rotated(arr, 3)):
+            cx = version.complex
+            marks = [(i, arc, side) for i in version.indices
+                     for arc in range(len(version.node_cycles[i]))
+                     for side in (-1, 1)]
+            new = [_marked_key(version, mark) for mark in marks]
+            pairs.update(zip(new, (old_marked_key(version, cx.face_at(*m))
+                                   for m in marks)))
+            classes.append(set(new))
+        assert classes[0] == classes[1], name
+        assert len(pairs) == len({k for k, _ in pairs}) \
+            == len({old for _, old in pairs}), name
+
+
+@pytest.mark.parametrize("argv, code, report", [
+    (("reconstruct", "allC04_n5.chi"), 1,
+     {"code": "not-transitive", "carrier": 1, "flavor": "D",
+      "witness": [1, 2, 4, 5]}),
+    (("chirotope", "TwoCurve"), 1, {"code": "too-few-indices"}),
+    (("iso", "C04", "TwoCurve", "--indexed"), 1,
+     {"isomorphic": False, "mode": "size"}),
+    (("validate", "DIR"), 2, {"code": "io-error"}),
+])
+def test_error_paths(tmp_path, capsys, argv, code, report):
+    from importlib import resources
+    chi = resources.files("dpl").joinpath("catalog_data", "allC04_n5.chi")
+    names = {"allC04_n5.chi": str(chi), "DIR": str(tmp_path)}
+    got, out = run(capsys, *(names.get(a, a) for a in argv))
+    assert got == code
+    data = json.loads(out)
+    assert {k: data[k] for k in report} == report
+
+
 def test_enumerate_moebius_emit_classes(tmp_path, capsys):
     out_dir = tmp_path / "mclasses"
     code, _ = run(capsys, "enumerate", "--n", "2", "--setting", "moebius",
@@ -349,7 +438,7 @@ def test_enumerate_moebius_emit_classes_three(tmp_path, capsys):
     assert code == 0 and json.loads(out)["d"] == 12
     files = sorted(out_dir.glob("*.dpl"))
     assert len(files) == 12
-    keys = {load(str(f)).complex.canonical_key("plain") for f in files}
+    keys = {load(str(f)).complex.canonical_key() for f in files}
     assert len(keys) == 12
     assert files_digest(out_dir.iterdir()) == (
         "8fd0354563f8fa9be61d55c4e195ab0bb8915361e46468482d14bcaff7e09084")
@@ -365,7 +454,7 @@ def test_enumerate_moebius_all_three(tmp_path, capsys):
     assert code == 0 and out == "3,531,92,59,41\n"
     files = sorted(out_dir.glob("*.dpl"))
     assert len(files) == 41
-    keys = {load(str(f)).complex.canonical_key("plain") for f in files}
+    keys = {load(str(f)).complex.canonical_key() for f in files}
     assert len(keys) == 41
     assert files_digest(out_dir.iterdir()) == (
         "d4612308ddf9cc31f25ada76ac2a91117483a449581b52e01630b2d412b9634d")

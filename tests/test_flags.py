@@ -101,7 +101,7 @@ def reference_stabilizer(arr):
 
 def reference_plain(cx):
     """The plain key and its start flags, from encoding every start flag;
-    the reference for ``FlagComplex._plain``, which skips automorphic
+    the reference for ``FlagComplex.canonical_key``, which skips automorphic
     starts."""
     best = None
     for start in range(len(cx.flags)):
@@ -500,7 +500,7 @@ class TestFaceVectors:
 
 class TestCanonicalKeys:
     def test_thirteen_distinct(self):
-        keys = {name: catalog.arrangement(name).complex.canonical_key("plain")
+        keys = {name: catalog.arrangement(name).complex.canonical_key()
                 for name in catalog.THIRTEEN}
         assert len(set(keys.values())) == 13
 
@@ -508,17 +508,17 @@ class TestCanonicalKeys:
         a = catalog.arrangement("C25_1")
         b = catalog.arrangement("C25_2")
         assert a.f_vector == b.f_vector
-        assert (a.complex.canonical_key("plain")
-                != b.complex.canonical_key("plain"))
+        assert (a.complex.canonical_key()
+                != b.complex.canonical_key())
 
     def test_relabeling_invariance(self):
         random.seed(7)
         for name in ("C07", "C33"):
             arr = catalog.arrangement(name)
-            key = arr.complex.canonical_key("plain")
+            key = arr.complex.canonical_key()
             for _ in range(5):
                 sigma = random.choice(SignedPermutation.all(arr.indices))
-                assert arr.act(sigma).complex.canonical_key("plain") == key
+                assert arr.act(sigma).complex.canonical_key() == key
 
     def test_indexed_oriented_key_is_cycle_equality(self):
         a = catalog.arrangement("C04")
@@ -582,7 +582,7 @@ class TestAutomorphisms:
         for arr in cases:
             cx = arr.complex
             key, starts = reference_plain(cx)
-            assert cx.canonical_key("plain") == key, arr
+            assert cx.canonical_key() == key, arr
             assert cx._aut_starts == starts, arr
 
     def test_all_c64_beyond_the_reference(self):
@@ -723,7 +723,7 @@ class TestLifetime:
     def test_arrangement_with_complex_freed_by_refcount(self):
         """The complex holds no reference back to its arrangement."""
         arr = all_c64(4)
-        assert arr.complex.canonical_key("plain")
+        assert arr.complex.canonical_key()
         ref = weakref.ref(arr)
         gc.disable()
         try:

@@ -34,7 +34,7 @@ def test_tracer_installs_records_and_removes(capsys):
         # through the module attributes, which are what the tracer patches
         dpl.mutation.projective_census(2)
         dpl.mutation.moebius_census(2)
-        dpl.cyclic_thin(3).complex.canonical_key("plain")
+        dpl.cyclic_thin(3).complex.canonical_key()
         assert dpl.cli.main(["validate", "C04"]) == 0
     finally:
         tracer.remove()

@@ -306,8 +306,8 @@ class TestActionOnArrangements:
         arr = cyclic_thin(3)
         swap = W.SignedPermutation({1: 2, 2: 1, 3: 3})
         moved = arr.act(swap)
-        assert (moved.complex.canonical_key("plain")
-                == arr.complex.canonical_key("plain"))
+        assert (moved.complex.canonical_key()
+                == arr.complex.canonical_key())
         # the stabilizer has index 2: exactly two indexed-oriented versions
         assert orbit_count(arr) == 2
 
